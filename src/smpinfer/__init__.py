@@ -25,16 +25,7 @@ from .dist import (
     tv,
     uniform,
 )
-from .smp import (
-    MessageMap,
-    ProtocolConfig,
-    PublicCoins,
-    Transcript,
-    Verdict,
-    derive_private_coins,
-    run_smp,
-    trial_seed_seq,
-)
+from .smp import MessageMap, PublicCoins, Verdict, trial_seed_seq
 from .simulate import (
     PlayerCapExceeded,
     SimOutcome,
@@ -77,13 +68,9 @@ __all__ = [
     "tv",
     "chi2",
     "kl",
-    "ProtocolConfig",
     "MessageMap",
     "PublicCoins",
-    "Transcript",
     "Verdict",
-    "run_smp",
-    "derive_private_coins",
     "trial_seed_seq",
     "SimOutcome",
     "PlayerCapExceeded",

@@ -6,14 +6,15 @@ Exit codes: 0 success, 2 a verification/assertion failed, 3 config error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 import numpy as np
 
-from . import harness, identity, infer, public_uniformity as pu, testers, verify
+from . import harness, identity, infer, testers, verify
 from .dist import Pmf, uniform
-from .simulate import contiguous_blocks, player_bound, rho, simulate_many
+from .simulate import contiguous_blocks, rho, simulate_many
 from .smp import MessageMap, PublicCoins, trial_seed_seq
 
 EXIT_OK = 0
@@ -32,9 +33,12 @@ def _load_pmf(path: str | None, k: int | None) -> Pmf:
 
 def _emit(obj, out: str | None, fmt: str):
     if fmt == "json":
-        text = json.dumps(obj, indent=2, sort_keys=True, default=_json_default) + "\n"
+        _write(json.dumps(obj, indent=2, sort_keys=True, default=_json_default) + "\n", out)
     else:
-        text = _to_csv(obj)
+        _write(_to_csv(obj), out)
+
+
+def _write(text: str, out: str | None):
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -43,6 +47,8 @@ def _emit(obj, out: str | None, fmt: str):
 
 
 def _json_default(o):
+    if isinstance(o, Pmf):
+        return o.probs.tolist()
     if isinstance(o, np.ndarray):
         return o.tolist()
     if isinstance(o, (np.integer, np.floating)):
@@ -85,10 +91,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_infer(args) -> int:
     p = _load_pmf(args.pmf, args.k)
+    cell = harness.Cell(p.k, args.ell, args.eps, args.n)
     rng = np.random.default_rng(trial_seed_seq(args.seed, 0, 0))
     if args.task == "uniformity":
-        n = args.n or infer.si_uniformity_players(p.k, args.ell, args.eps)
-        verdict = infer.si_uniformity_protocol(p, args.ell, args.eps, n, rng)
+        proto = harness.PROTOCOLS["private-si"]
+        n = proto.n_for(cell)
+        verdict = proto.run(p, cell.ell, cell.eps, n, rng, None, None)
     else:
         n = args.n
         if n is None:
@@ -96,81 +104,45 @@ def cmd_infer(args) -> int:
             per, _ = infer.block_budget_players(p.k, args.ell)
             n = infer.blocks_for_psi(psi) * per
         verdict = infer.si_learning_protocol(p, args.ell, n, rng)
-    row = {"task": args.task, "n": n, "decision": verdict.decision, **_plain(verdict.diagnostics)}
+    row = {"task": args.task, "n": n, "decision": verdict.decision, **verdict.diagnostics}
     _emit(row, args.out, args.format)
     return EXIT_OK
 
 
-def _plain(diag: dict) -> dict:
-    out = {}
-    for k, v in diag.items():
-        if isinstance(v, Pmf):
-            out[k] = v.probs.tolist()
-        elif isinstance(v, np.ndarray):
-            out[k] = v.tolist()
-        elif isinstance(v, (np.integer, np.floating)):
-            out[k] = v.item()
-        else:
-            out[k] = v
-    return out
+def _rng_and_coins(seed: int) -> tuple[np.random.Generator, PublicCoins]:
+    rng_ss, coin_ss = trial_seed_seq(seed, 0, 0).spawn(2)
+    return np.random.default_rng(rng_ss), PublicCoins(coin_ss)
 
 
 def cmd_test_uniformity(args) -> int:
     p = _load_pmf(args.pmf, args.k)
-    ss = trial_seed_seq(args.seed, 0, 0)
-    children = ss.spawn(2)
-    rng = np.random.default_rng(children[0])
-    coins = PublicCoins(children[1])
-    if args.protocol == "smooth":
-        n = args.n or pu.SmoothSchedule.from_params(p.k, args.ell, args.eps).total_players
-        verdict = pu.smooth_protocol(p, args.ell, args.eps, n, coins, rng)
-    elif args.protocol == "levin":
-        sched = pu.LevinSchedule.from_params(p.k, args.ell, args.eps)
-        scale = (args.n / sched.total_players) if args.n else 1.0
-        verdict = pu.levin_protocol(p, args.ell, args.eps, coins, rng, scale=scale)
-        n = args.n or sched.total_players
-    elif args.protocol == "warmup":
-        if args.n is None:
-            raise KeyError("--n is required for the warmup protocol")
-        n = args.n
-        verdict = pu.warmup_protocol(p, args.eps, n, coins, rng)
-    elif args.protocol == "private-si":
-        n = args.n or infer.si_uniformity_players(p.k, args.ell, args.eps)
-        verdict = infer.si_uniformity_protocol(p, args.ell, args.eps, n, rng)
-    else:  # flying-pony
-        n = args.n or infer.FLYING_PONY_C * p.k
-        verdict = infer.flying_pony_protocol(p, n, rng)
-    row = {"protocol": args.protocol, "n": n, "decision": verdict.decision, **_plain(verdict.diagnostics)}
+    cell = harness.Cell(p.k, args.ell, args.eps, args.n)
+    rng, coins = _rng_and_coins(args.seed)
+    proto = harness.PROTOCOLS[args.protocol]
+    n = proto.n_for(cell)
+    verdict = proto.run(p, cell.ell, cell.eps, n, rng, coins, None)
+    row = {"protocol": args.protocol, "n": n, "decision": verdict.decision, **verdict.diagnostics}
     _emit(row, args.out, args.format)
     return EXIT_OK
 
 
 def cmd_test_identity(args) -> int:
     p = _load_pmf(args.pmf, args.k)
+    cell = harness.Cell(p.k, args.ell, args.eps, args.n)
     with open(args.reference) as fh:
         q = Pmf.from_json(fh.read())
-    ss = trial_seed_seq(args.seed, 0, 0)
-    children = ss.spawn(2)
-    rng = np.random.default_rng(children[0])
-    coins = PublicCoins(children[1])
-    if args.protocol == "smooth":
-        def protocol(mapped, ell, eps, rng, coins):
-            n = args.n or pu.SmoothSchedule.from_params(mapped.k, ell, eps).total_players
-            return pu.smooth_protocol(mapped, ell, eps, n, coins, rng)
-    elif args.protocol == "levin":
-        def protocol(mapped, ell, eps, rng, coins):
-            sched = pu.LevinSchedule.from_params(mapped.k, ell, eps)
-            scale = (args.n / sched.total_players) if args.n else 1.0
-            return pu.levin_protocol(mapped, ell, eps, coins, rng, scale=scale)
-    else:  # private-si
-        def protocol(mapped, ell, eps, rng, coins):
-            n = args.n or infer.si_uniformity_players(mapped.k, ell, eps)
-            return infer.si_uniformity_protocol(mapped, ell, eps, n, rng)
+    rng, coins = _rng_and_coins(args.seed)
+    proto = harness.PROTOCOLS[args.protocol]
+
+    def protocol(mapped, ell, eps, rng, coins):
+        n = proto.n_for(dataclasses.replace(cell, k=mapped.k, eps=eps))
+        return proto.run(mapped, ell, eps, n, rng, coins, None)
+
     verdict = identity.identity_test_via_uniformity(
-        p, q, args.ell, args.eps, protocol, {"rng": rng, "coins": coins}
+        p, q, cell.ell, cell.eps, protocol, {"rng": rng, "coins": coins}
     )
     decision = "accept_identity" if verdict.decision == "accept_uniform" else verdict.decision
-    row = {"protocol": args.protocol, "decision": decision, **_plain(verdict.diagnostics)}
+    row = {"protocol": args.protocol, "decision": decision, **verdict.diagnostics}
     _emit(row, args.out, args.format)
     return EXIT_OK
 
@@ -343,20 +315,9 @@ def cmd_experiment(args) -> int:
     with open(args.config) as fh:
         cfg = harness.ExperimentConfig.from_json(fh.read())
     if args.seed is not None:
-        cfg = harness.ExperimentConfig(
-            protocol=cfg.protocol, instance=cfg.instance, grid=cfg.grid,
-            trials=cfg.trials, master_seed=args.seed, constants=cfg.constants,
-        )
+        cfg = dataclasses.replace(cfg, master_seed=args.seed)
     result = harness.run_experiment(cfg, workers=args.workers)
-    if args.format == "csv":
-        text = result.to_csv()
-    else:
-        text = result.to_json() + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(result.to_csv() if args.format == "csv" else result.to_json() + "\n", args.out)
     return EXIT_OK
 
 
@@ -466,10 +427,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (KeyError, FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except (KeyError, FileNotFoundError, ValueError) as exc:  # ValueError covers json.JSONDecodeError
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -13,16 +13,19 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
+from typing import Callable
 
 import numpy as np
 
-from . import identity, infer, public_uniformity as pu, testers
+from . import infer, public_uniformity as pu, testers
 from .dist import Pmf, PaninskiParam, flying_pony, paninski, uniform
 from .simulate import simulate_many
 from .smp import PublicCoins, Verdict, trial_seed_seq
 
 __all__ = [
+    "Cell",
+    "Protocol",
     "ExperimentConfig",
     "TrialReport",
     "ExperimentResult",
@@ -36,13 +39,14 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 N_CAP = 50_000_000
+DUMMY_N = 500  # the dummy-const control protocol is correct iff n >= DUMMY_N
+# Phi^-1(0.975), correctly rounded; the persisted Wilson bounds depend on its last digit.
+Z_95 = 1.959963984540054
 
 
-def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion (95% by default)."""
-    from scipy.stats import norm
-
-    z = float(norm.ppf(0.5 + confidence / 2.0))
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
+    z = Z_95
     if trials == 0:
         return 0.0, 1.0
     phat = successes / trials
@@ -92,8 +96,67 @@ def make_instance(spec: dict, k: int, eps: float, rng: np.random.Generator) -> t
 
 
 # ---------------------------------------------------------------------------
-# Protocol adapters
+# Cells and the protocol registry
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Cell:
+    """One grid cell: alphabet size k, message bits ell, distance eps, players n.
+
+    eps and n are optional; a cell without n runs at its protocol's default.
+    Validated on construction, so build cells where input enters, not per trial.
+    """
+
+    k: int
+    ell: int
+    eps: float | None = None
+    n: int | None = None
+
+    def __post_init__(self):
+        if self.k < 1:
+            raise ValueError("k must be >= 1")
+        if self.ell < 1:
+            raise ValueError("ell must be >= 1")
+        if self.eps is not None and not 0 < self.eps < 1:
+            raise ValueError("eps must lie in (0,1)")
+        if self.n is not None and self.n < 1:
+            raise ValueError("n must be >= 1")
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "Cell":
+        unknown = sorted(set(d) - {"k", "ell", "eps", "n"})
+        if unknown:
+            raise ValueError(f"unknown cell keys {unknown}")
+        return cls(k=d["k"], ell=d["ell"], eps=d.get("eps"), n=d.get("n"))
+
+    def to_dict(self) -> dict:
+        """The fields that were given (eps and n are omitted when None)."""
+        return {key: value for key, value in asdict(self).items() if value is not None}
+
+
+@dataclass(frozen=True)
+class Protocol:
+    """A registered protocol.
+
+    default_n(k, ell, eps, constants) is the player count of a cell without n
+    (None for a protocol that takes no n); run(p, ell, eps, n, rng, coins,
+    constants) plays one trial and returns the referee's verdict; ladder is
+    (constants key, candidate values smallest first) for `calibrate`.
+    """
+
+    default_n: Callable[[int, int, float, dict | None], int | None]
+    run: Callable[..., Verdict]
+    ladder: tuple[str, tuple[float, ...]] | None = None
+
+    def n_for(self, cell: Cell, constants: dict | None = None) -> int | None:
+        """The cell's n if given, else this protocol's default."""
+        return cell.n if cell.n is not None else self.default_n(cell.k, cell.ell, cell.eps, constants)
+
+
+def _smooth_kwargs(constants: dict | None) -> dict:
+    constants = constants or {}
+    return {"m": constants.get("smooth_m", 12), "c_l2": constants.get("c_l2", testers.C_L2_DEFAULT)}
 
 
 def _levin_constants(constants: dict | None) -> pu.LevinConstants:
@@ -102,51 +165,26 @@ def _levin_constants(constants: dict | None) -> pu.LevinConstants:
     return pu.DEFAULT_LEVIN_CONSTANTS
 
 
-def _run_smooth(p, cell, seed_seq, coins, constants):
-    rng = np.random.default_rng(seed_seq)
-    kwargs = {}
-    if constants:
-        kwargs["c_l2"] = constants.get("c_l2", testers.C_L2_DEFAULT)
-        kwargs["m"] = constants.get("smooth_m", 12)
-    n = cell.get("n") or pu.SmoothSchedule.from_params(
-        cell["k"], cell["ell"], cell["eps"], m=kwargs.get("m", 12), c_l2=kwargs.get("c_l2", testers.C_L2_DEFAULT)
-    ).total_players
-    return pu.smooth_protocol(p, cell["ell"], cell["eps"], n, coins, rng, **kwargs)
+def _levin_players(k, ell, eps, constants):
+    return pu.LevinSchedule.from_params(k, ell, eps, _levin_constants(constants)).total_players
 
 
-def _run_levin(p, cell, seed_seq, coins, constants):
-    rng = np.random.default_rng(seed_seq)
-    const = _levin_constants(constants)
-    sched = pu.LevinSchedule.from_params(cell["k"], cell["ell"], cell["eps"], const)
-    scale = (cell["n"] / sched.total_players) if cell.get("n") else 1.0
-    return pu.levin_protocol(p, cell["ell"], cell["eps"], coins, rng, constants=const, scale=scale)
+def _run_levin(p, ell, eps, n, rng, coins, constants):
+    # n resizes every mini-batch in proportion to the schedule's total.
+    scale = n / _levin_players(p.k, ell, eps, constants)
+    return pu.levin_protocol(p, ell, eps, coins, rng, constants=_levin_constants(constants), scale=scale)
 
 
-def _run_warmup(p, cell, seed_seq, coins, constants):
-    rng = np.random.default_rng(seed_seq)
-    c = (constants or {}).get("warmup_c", 13.0)
-    k, eps = cell["k"], cell["eps"]
-    m = math.ceil(5.0 / eps)
-    n = cell.get("n") or m * math.ceil(c * k * math.log(10.0 * m) / eps**2)
-    return pu.warmup_protocol(p, eps, n, coins, rng, c=c)
+def _warmup_c(constants: dict | None) -> float:
+    return (constants or {}).get("warmup_c", pu.WARMUP_C)
 
 
-def _run_private_si(p, cell, seed_seq, coins, constants):
-    rng = np.random.default_rng(seed_seq)
-    c = (constants or {}).get("c_uniformity", testers.C_UNIFORMITY_DEFAULT)
-    n = cell.get("n") or infer.si_uniformity_players(cell["k"], cell["ell"], cell["eps"], c=c)
-    return infer.si_uniformity_protocol(p, cell["ell"], cell["eps"], n, rng, c=c)
+def _si_c(constants: dict | None) -> float:
+    return (constants or {}).get("c_uniformity", testers.C_UNIFORMITY_DEFAULT)
 
 
-def _run_flying_pony(p, cell, seed_seq, coins, constants):
-    rng = np.random.default_rng(seed_seq)
-    n = cell.get("n") or infer.FLYING_PONY_C * cell["k"]
-    return infer.flying_pony_protocol(p, n, rng)
-
-
-def _run_simulate(p, cell, seed_seq, coins, constants):
-    rng = np.random.default_rng(seed_seq)
-    out = simulate_many(p, cell["ell"], 1, rng)[0]
+def _run_simulate(p, ell, eps, n, rng, coins, constants):
+    out = simulate_many(p, ell, 1, rng)[0]
     return Verdict(
         decision="symbol",
         symbol=out.symbol,
@@ -154,22 +192,36 @@ def _run_simulate(p, cell, seed_seq, coins, constants):
     )
 
 
-def _run_dummy_const(p, cell, seed_seq, coins, constants):
-    # Control protocol for the scaling report: correct iff n >= a fixed constant.
-    n = cell.get("n") or 500
+def _run_dummy_const(p, ell, eps, n, rng, coins, constants):
+    # Control protocol for the scaling report.
     expect = "accept_uniform" if float(np.max(p.probs) - np.min(p.probs)) < 1e-12 else "reject"
     wrong = "reject" if expect == "accept_uniform" else "accept_uniform"
-    return Verdict(decision=expect if n >= 500 else wrong, diagnostics={"players_used": n})
+    return Verdict(decision=expect if n >= DUMMY_N else wrong, diagnostics={"players_used": n})
 
 
 PROTOCOLS = {
-    "smooth": _run_smooth,
-    "levin": _run_levin,
-    "warmup": _run_warmup,
-    "private-si": _run_private_si,
-    "flying-pony": _run_flying_pony,
-    "simulate": _run_simulate,
-    "dummy-const": _run_dummy_const,
+    "smooth": Protocol(
+        lambda k, ell, eps, c: pu.SmoothSchedule.from_params(k, ell, eps, **_smooth_kwargs(c)).total_players,
+        lambda p, ell, eps, n, rng, coins, c: pu.smooth_protocol(p, ell, eps, n, coins, rng, **_smooth_kwargs(c)),
+        ("c_l2", tuple(1.0 * 1.5**i for i in range(8))),
+    ),
+    "levin": Protocol(_levin_players, _run_levin, ("levin_scale", tuple(0.25 * 1.4**i for i in range(10)))),
+    "warmup": Protocol(
+        lambda k, ell, eps, c: pu.warmup_players(k, eps, _warmup_c(c)),
+        lambda p, ell, eps, n, rng, coins, c: pu.warmup_protocol(p, eps, n, coins, rng, c=_warmup_c(c)),
+        ("warmup_c", tuple(2.0 * 1.5**i for i in range(8))),
+    ),
+    "private-si": Protocol(
+        lambda k, ell, eps, c: infer.si_uniformity_players(k, ell, eps, c=_si_c(c)),
+        lambda p, ell, eps, n, rng, coins, c: infer.si_uniformity_protocol(p, ell, eps, n, rng, c=_si_c(c)),
+        ("c_uniformity", tuple(0.75 * 1.5**i for i in range(8))),
+    ),
+    "flying-pony": Protocol(
+        lambda k, ell, eps, c: infer.FLYING_PONY_C * k,
+        lambda p, ell, eps, n, rng, coins, c: infer.flying_pony_protocol(p, n, rng),
+    ),
+    "simulate": Protocol(lambda k, ell, eps, c: None, _run_simulate),
+    "dummy-const": Protocol(lambda k, ell, eps, c: DUMMY_N, _run_dummy_const),
 }
 
 
@@ -180,9 +232,11 @@ PROTOCOLS = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """`trials` seeded trials per grid cell; dict cells are validated here into Cells."""
+
     protocol: str
     instance: dict
-    grid: tuple[dict, ...]
+    grid: tuple[Cell, ...]
     trials: int
     master_seed: int
     constants: dict | None = None
@@ -195,7 +249,10 @@ class ExperimentConfig:
             raise KeyError("trials must be >= 1")
         if self.protocol not in PROTOCOLS:
             raise KeyError(f"unknown protocol {self.protocol!r}")
-        object.__setattr__(self, "grid", tuple(dict(c) for c in self.grid))
+        grid = tuple(c if isinstance(c, Cell) else Cell.from_dict(c) for c in self.grid)
+        if any(c.eps is None for c in grid):
+            raise KeyError("every grid cell needs eps")
+        object.__setattr__(self, "grid", grid)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -267,31 +324,32 @@ class ExperimentResult:
 
 def run_trial(cfg: ExperimentConfig, cell_index: int, trial_index: int) -> TrialReport:
     cell = cfg.grid[cell_index]
+    proto = PROTOCOLS[cfg.protocol]
     ss = trial_seed_seq(cfg.master_seed, cell_index, trial_index)
     children = ss.spawn(3)  # instance stream, protocol stream, public coins
     inst_rng = np.random.default_rng(children[0])
-    p, expected = make_instance(cfg.instance, cell["k"], cell.get("eps", 0.0), inst_rng)
-    coins = PublicCoins(children[2])
+    p, expected = make_instance(cfg.instance, cell.k, cell.eps, inst_rng)
+    rng, coins = np.random.default_rng(children[1]), PublicCoins(children[2])
     t0 = time.perf_counter()
-    verdict = PROTOCOLS[cfg.protocol](p, cell, children[1], coins, cfg.constants)
+    verdict = proto.run(p, cell.ell, cell.eps, proto.n_for(cell, cfg.constants), rng, coins, cfg.constants)
     wall = time.perf_counter() - t0
+    players = int(verdict.diagnostics["players_used"])
     if cfg.protocol == "simulate":
-        correct = verdict.decision == "symbol"
         expected = "symbol"
-    else:
-        correct = verdict.decision == expected
+    correct = verdict.decision == expected
     return TrialReport(
         cell=cell_index,
         trial=trial_index,
-        k=cell["k"],
-        ell=cell.get("ell", 1),
-        eps=cell.get("eps", 0.0),
-        n=cell.get("n") or verdict.diagnostics.get("players_used", 0),
+        k=cell.k,
+        ell=cell.ell,
+        eps=cell.eps,
+        # A cell without n records the players the trial used.
+        n=players if cell.n is None else cell.n,
         seed=f"{cfg.master_seed}/{cell_index}/{trial_index}",
         decision=verdict.decision,
         expected=expected,
         correct=bool(correct),
-        players_used=int(verdict.diagnostics.get("players_used", 0)),
+        players_used=players,
         public_bits=int(verdict.diagnostics.get("public_bits", 0)),
         wall_time_s=wall,
     )
@@ -315,7 +373,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
         summaries.append(
             {
                 "cell": ci,
-                **{key: cell[key] for key in sorted(cell)},
+                **cell.to_dict(),
                 "trials": len(cell_reports),
                 "success_rate": successes / len(cell_reports),
                 "wilson_low": lo,
@@ -343,30 +401,17 @@ class CalibrationFailure(RuntimeError):
         self.best = best
 
 
-def _two_sided_error(protocol: str, cell: dict, constants: dict | None, trials: int, seed: int) -> float:
-    """Max over sides of the error rate on (uniform, paninski) at this cell."""
-    errs = []
-    for side, inst in ((0, {"name": "uniform"}), (1, {"name": "paninski", "theta": "random"})):
-        cfg = ExperimentConfig(
-            protocol=protocol,
-            instance=inst,
-            grid=(cell,),
-            trials=trials,
-            master_seed=seed * 2 + side,
-            constants=constants,
-        )
-        res = run_experiment(cfg)
-        errs.append(1.0 - res.summaries[0]["success_rate"])
-    return max(errs)
-
-
-# Per-protocol calibration ladders: (constants-key, candidate values smallest first).
-_CAL_LADDERS = {
-    "smooth": ("c_l2", [1.0 * 1.5**i for i in range(8)]),
-    "levin": ("levin_scale", [0.25 * 1.4**i for i in range(10)]),
-    "private-si": ("c_uniformity", [0.75 * 1.5**i for i in range(8)]),
-    "warmup": ("warmup_c", [2.0 * 1.5**i for i in range(8)]),
-}
+def _side_reports(protocol: str, cell: dict, constants: dict | None, trials: int, seed: int) -> list:
+    """Per side (uniform, then random paninski): the reports of `trials` trials at this cell."""
+    return [
+        run_experiment(
+            ExperimentConfig(
+                protocol=protocol, instance=inst, grid=(cell,), trials=trials,
+                master_seed=seed * 2 + side, constants=constants,
+            )
+        ).reports
+        for side, inst in enumerate(({"name": "uniform"}, {"name": "paninski", "theta": "random"}))
+    ]
 
 
 def calibrate(
@@ -385,9 +430,9 @@ def calibrate(
         raise CalibrationFailure("target error must be positive (zero error is unattainable)", None)
     if budget < 100:
         raise KeyError("budget must be >= 100 trials per candidate")
-    if protocol not in _CAL_LADDERS:
+    if protocol not in PROTOCOLS or PROTOCOLS[protocol].ladder is None:
         raise KeyError(f"no calibration ladder for protocol {protocol!r}")
-    key, ladder = _CAL_LADDERS[protocol]
+    key, ladder = PROTOCOLS[protocol].ladder
     best = None
     for value in ladder:
         if key == "levin_scale":
@@ -399,8 +444,11 @@ def calibrate(
             }
         else:
             constants = {key: value}
+        # The largest error rate over cells and sides.
         worst = max(
-            _two_sided_error(protocol, cell, constants, budget, master_seed) for cell in grid
+            1.0 - sum(r.correct for r in reports) / len(reports)
+            for cell in grid
+            for reports in _side_reports(protocol, cell, constants, budget, master_seed)
         )
         if best is None or worst < best["measured_error"]:
             best = {"constant": value, "measured_error": worst}
@@ -415,7 +463,6 @@ def calibrate(
                 "grid": grid,
                 "budget": budget,
                 "master_seed": master_seed,
-                "date": time.strftime("%Y-%m-%d"),
             }
     raise CalibrationFailure(
         f"no ladder value met target {target_error}; best {best}", best
@@ -428,15 +475,8 @@ def calibrate(
 
 
 def _success_rate_at(protocol: str, k: int, ell: int, eps: float, n: int, trials: int, seed: int, constants=None) -> float:
-    cell = {"k": k, "ell": ell, "eps": eps, "n": n}
-    correct = 0
-    for side, inst in ((0, {"name": "uniform"}), (1, {"name": "paninski", "theta": "random"})):
-        cfg = ExperimentConfig(
-            protocol=protocol, instance=inst, grid=(cell,), trials=trials // 2,
-            master_seed=seed * 2 + side, constants=constants,
-        )
-        correct += sum(r.correct for r in run_experiment(cfg).reports)
-    return correct / (2 * (trials // 2))
+    sides = _side_reports(protocol, {"k": k, "ell": ell, "eps": eps, "n": n}, constants, trials // 2, seed)
+    return sum(r.correct for reports in sides for r in reports) / (2 * (trials // 2))
 
 
 def minimal_n(
@@ -451,14 +491,11 @@ def minimal_n(
     n_cap: int = N_CAP,
 ) -> dict:
     """Geometric bracket + bisection for the smallest n with success rate >= target."""
-    # Default (schedule) n as the starting upper guess.
-    defaults = {
-        "levin": lambda: pu.LevinSchedule.from_params(k, ell, eps).total_players,
-        "smooth": lambda: pu.SmoothSchedule.from_params(k, ell, eps).total_players,
-        "private-si": lambda: infer.si_uniformity_players(k, ell, eps),
-        "dummy-const": lambda: 1000,
-    }
-    n_hi = min(defaults.get(protocol, lambda: 1000)(), n_cap)
+    # The protocol's default n is the starting upper guess.
+    n_default = PROTOCOLS[protocol].n_for(Cell(k, ell, eps), constants)
+    if n_default is None:
+        raise KeyError(f"protocol {protocol!r} takes no player count")
+    n_hi = min(n_default, n_cap)
     evals = 0
     while _success_rate_at(protocol, k, ell, eps, n_hi, trials, seed + evals, constants) < target:
         evals += 1

@@ -167,4 +167,4 @@ def flying_pony_protocol(p: Pmf, n: int, rng: np.random.Generator) -> Verdict:
     count = int(np.sum(rng.random(n) < p.probs[0]))
     lo, hi = 0.5 * n / k, 1.5 * n / k
     decision = "accept_uniform" if lo < count <= hi else "reject"
-    return Verdict(decision=decision, diagnostics={"bit_count": count, "n": n})
+    return Verdict(decision=decision, diagnostics={"bit_count": count, "n": n, "players_used": n})

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dist import Pmf, SubsetSpec, flatten, uniform
-from .smp import MessageMap, PublicCoins, Verdict
+from .dist import Pmf, flatten, uniform
+from .smp import PublicCoins, Verdict
 from .testers import C_L2_DEFAULT, L2TestParams, l2_uniformity_test
 
 __all__ = [
@@ -34,18 +34,13 @@ __all__ = [
     "LevinConstants",
     "LevinSchedule",
     "DEFAULT_LEVIN_CONSTANTS",
-    "random_balanced_partition",
     "smooth_protocol",
+    "WARMUP_C",
+    "warmup_players",
     "warmup_protocol",
     "levin_threshold",
     "levin_protocol",
-    "subset_report_strategy",
 ]
-
-
-def random_balanced_partition(k: int, L: int, public_rng: PublicCoins):
-    """Public random partition of [k] into L parts with sizes differing by <= 1."""
-    return public_rng.balanced_partition(k, L)
 
 
 # ---------------------------------------------------------------------------
@@ -122,13 +117,22 @@ def smooth_protocol(
 # ---------------------------------------------------------------------------
 
 
+WARMUP_C = 13.0
+
+
+def warmup_players(k: int, eps: float, c: float = WARMUP_C) -> int:
+    """Minimum (and default) players: m = ceil(5/eps) batches at failure budget 1/(10 m)."""
+    m = math.ceil(5.0 / eps)
+    return m * math.ceil(c * k * math.log(10.0 * m) / eps**2)
+
+
 def warmup_protocol(
     p: Pmf,
     eps: float,
     n: int,
     coins: PublicCoins,
     rng: np.random.Generator,
-    c: float = 13.0,
+    c: float = WARMUP_C,
 ) -> Verdict:
     """m >= 5/eps batches; batch b bias-tests one public random element against 1/k.
 
@@ -137,10 +141,9 @@ def warmup_protocol(
     """
     k = p.k
     m = math.ceil(5.0 / eps)
-    delta = 1.0 / (10 * m)
-    n_batch = math.ceil(c * k * math.log(1.0 / delta) / eps**2)
-    if n < m * n_batch:
-        raise ValueError(f"need at least {m * n_batch} players, got {n}")
+    need = warmup_players(k, eps, c)
+    if n < need:
+        raise ValueError(f"need at least {need} players, got {n}")
     n_batch = n // m
     threshold = (1.0 - eps / 4.0) / k
     rejections = 0
@@ -152,7 +155,12 @@ def warmup_protocol(
     decision = "accept_uniform" if rejections == 0 else "reject"
     return Verdict(
         decision=decision,
-        diagnostics={"batches": m, "players_per_batch": n_batch, "public_bits": coins.bits_used},
+        diagnostics={
+            "batches": m,
+            "players_per_batch": n_batch,
+            "players_used": m * n_batch,
+            "public_bits": coins.bits_used,
+        },
     )
 
 
@@ -265,15 +273,6 @@ class LevinSchedule:
     def delta_budget(self) -> float:
         """sum_j m_j delta_j; the schedule keeps this below 1/40."""
         return sum(m * d for m, d in zip(self.m_j, self.delta_j))
-
-
-def subset_report_strategy(S: SubsetSpec, ell: int) -> MessageMap:
-    """Deterministic map: symbol not in S -> 0; the r-th member of S -> r."""
-    if S.s > 2**ell - 1:
-        raise ValueError("subset too large for the message alphabet")
-    symbol_to_msg = np.zeros(S.k, dtype=np.int64)
-    symbol_to_msg[S.members] = np.arange(1, S.s + 1)
-    return MessageMap.deterministic_map(S.k, ell, symbol_to_msg)
 
 
 def levin_threshold(q_values, eps: float) -> int | None:

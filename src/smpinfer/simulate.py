@@ -26,9 +26,7 @@ __all__ = [
     "PLAYER_CAP",
     "contiguous_blocks",
     "rho",
-    "run_batch",
     "simulate_sample",
-    "simulate_batch_of_samples",
     "simulate_many",
     "player_bound",
 ]
@@ -118,12 +116,6 @@ def _run_batches(
     return declared, symbols
 
 
-def run_batch(p: Pmf, blocks: list[np.ndarray], rng: np.random.Generator) -> int | None:
-    """One batch of the flip scheme on p; returns the declared symbol or None."""
-    declared, symbols = _run_batches(p.probs, blocks, 1, rng)
-    return int(symbols[0]) if declared[0] else None
-
-
 def simulate_many(
     p: Pmf,
     ell: int,
@@ -169,8 +161,3 @@ def simulate_many(
 def simulate_sample(p: Pmf, ell: int, rng: np.random.Generator) -> SimOutcome:
     """Simulate one sample distributed exactly as p."""
     return simulate_many(p, ell, 1, rng)[0]
-
-
-def simulate_batch_of_samples(p: Pmf, ell: int, count: int, rng: np.random.Generator) -> list[SimOutcome]:
-    """Vectorized driver: `count` i.i.d. simulated samples."""
-    return simulate_many(p, ell, count, rng)

@@ -1,67 +1,35 @@
-"""Simultaneous message-passing execution fabric.
+"""Simultaneous message-passing primitives: message maps, public coins, verdicts.
 
 Each of n players holds one i.i.d. sample from an unknown distribution and
 sends a single ell-bit message to a referee; the referee decides from the
 messages alone (private-coin mode) or from the messages plus a shared public
 coin record (public-coin mode).
 
-Randomness discipline: everything derives from a 64-bit master seed.  Player i
-owns a private stream keyed by (player index, nonce); public coins are one
-shared stream whose draws are logged so a transcript is self-contained.
+Randomness discipline: everything derives from a master seed.  Each trial owns
+a stream keyed by (master seed, cell, trial); public coins are one shared
+stream whose draws are logged and charged at their encoding length.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
 
 import numpy as np
 
-from .dist import Pmf, Partition, SubsetSpec
+from .dist import Partition, SubsetSpec
 
 __all__ = [
-    "ProtocolConfig",
     "MessageMap",
-    "Transcript",
     "Verdict",
     "PublicCoins",
-    "derive_private_coins",
-    "derive_stream",
     "trial_seed_seq",
-    "run_smp",
 ]
 
-# Stream namespaces under the master seed.
+# Stream namespaces under the master seed.  Every derived seed depends on
+# these values, so they never change.
 _NS_PUBLIC = 0
-_NS_PLAYER = 1
-_NS_REFEREE = 2
 _NS_TRIAL = 3
-
-
-@dataclass(frozen=True)
-class ProtocolConfig:
-    k: int
-    ell: int
-    n: int
-    coin_mode: str = "private"  # {private, public, pairwise}
-    master_seed: int = 0
-
-    def __post_init__(self):
-        if self.ell < 1:
-            raise ValueError("ell must be >= 1")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.coin_mode == "pairwise":
-            raise NotImplementedError("pairwise-coin mode is not supported")
-        if self.coin_mode not in ("private", "public"):
-            raise ValueError(f"unknown coin mode {self.coin_mode!r}")
-
-    @property
-    def collapses_to_centralized(self) -> bool:
-        """ell >= log2 k lets players send their sample verbatim."""
-        return 2**self.ell >= self.k
 
 
 @dataclass(frozen=True)
@@ -99,25 +67,16 @@ class MessageMap:
         rows[np.arange(k), msgs] = 1.0
         return cls(k=k, ell=ell, rows=rows)
 
-    def message_for(self, x: int, rng: np.random.Generator) -> int:
-        row = self.rows[x]
-        hot = np.flatnonzero(row == 1.0)
-        if hot.size:  # deterministic row: no private draw consumed
-            return int(hot[0])
-        return int(rng.choice(row.size, p=row))
-
 
 @dataclass
 class PublicCoins:
-    """Shared randomness: one seeded stream plus an append-only draw log.
+    """Shared randomness: one seeded stream that players and referee all read.
 
-    Players and referee reconstruct identical draws by replaying the log order;
     bits_used charges each structured draw at its encoding length.
     """
 
     seed_seq: np.random.SeedSequence
     bits_used: int = 0
-    draw_log: list = field(default_factory=list)
 
     def __post_init__(self):
         self._rng = np.random.default_rng(self.seed_seq)
@@ -136,33 +95,18 @@ class PublicCoins:
             assign[perm[start : start + sizes[r]]] = r
             start += sizes[r]
         self.bits_used += k * max(1, math.ceil(math.log2(L)) if L > 1 else 1)
-        self.draw_log.append(("balanced_partition", k, L))
         return Partition(k=k, L=L, assign=assign)
 
     def subset(self, k: int, s: int) -> SubsetSpec:
         """Uniformly random s-element subset of [k]."""
         members = np.sort(self._rng.choice(k, size=s, replace=False))
         self.bits_used += s * max(1, math.ceil(math.log2(k)) if k > 1 else 1)
-        self.draw_log.append(("subset", k, s))
         return SubsetSpec(k=k, s=s, members=members)
 
     def element(self, k: int) -> int:
         x = int(self._rng.integers(k))
         self.bits_used += max(1, math.ceil(math.log2(k)) if k > 1 else 1)
-        self.draw_log.append(("element", k))
         return x
-
-
-def derive_private_coins(master_seed: int, player_index: int, nonce: int = 0) -> np.random.Generator:
-    """Independent private stream for one player (fresh per nonce)."""
-    return np.random.default_rng(
-        np.random.SeedSequence(master_seed, spawn_key=(_NS_PLAYER, player_index, nonce))
-    )
-
-
-def derive_stream(master_seed: int, namespace: int, *key: int) -> np.random.Generator:
-    """A named independent stream under the master seed."""
-    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(namespace, *key)))
 
 
 def trial_seed_seq(master_seed: int, cell_index: int, trial_index: int) -> np.random.SeedSequence:
@@ -172,52 +116,6 @@ def trial_seed_seq(master_seed: int, cell_index: int, trial_index: int) -> np.ra
 
 def public_coins(master_seed: int, *key: int) -> PublicCoins:
     return PublicCoins(np.random.SeedSequence(master_seed, spawn_key=(_NS_PUBLIC, *key)))
-
-
-def referee_stream(master_seed: int, *key: int) -> np.random.Generator:
-    return derive_stream(master_seed, _NS_REFEREE, *key)
-
-
-@dataclass
-class Transcript:
-    """The referee's view of one protocol execution."""
-
-    messages: np.ndarray
-    ell: int
-    public_seed: int | None = None
-    public_draw_log: list = field(default_factory=list)
-    samples_consumed: np.ndarray | None = None
-
-    def __post_init__(self):
-        msgs = np.asarray(self.messages, dtype=np.int64)
-        if msgs.size and (msgs.min() < 0 or msgs.max() >= 2**self.ell):
-            raise ValueError("message does not fit in ell bits")
-        self.messages = msgs
-        if self.samples_consumed is None:
-            self.samples_consumed = np.ones(msgs.size, dtype=np.int64)
-
-    def to_json_line(self) -> str:
-        return json.dumps(
-            {
-                "ell": self.ell,
-                "messages": self.messages.tolist(),
-                "public_seed": self.public_seed,
-                "public_draw_log": [list(entry) for entry in self.public_draw_log],
-                "samples_consumed": self.samples_consumed.tolist(),
-            },
-            separators=(",", ":"),
-        )
-
-    @classmethod
-    def from_json_line(cls, line: str) -> "Transcript":
-        obj = json.loads(line)
-        return cls(
-            messages=np.array(obj["messages"], dtype=np.int64),
-            ell=int(obj["ell"]),
-            public_seed=obj["public_seed"],
-            public_draw_log=[tuple(entry) for entry in obj["public_draw_log"]],
-            samples_consumed=np.array(obj["samples_consumed"], dtype=np.int64),
-        )
 
 
 @dataclass
@@ -233,46 +131,3 @@ class Verdict:
             raise ValueError(f"unknown decision {self.decision!r}")
         if (self.decision == "symbol") != (self.symbol is not None):
             raise ValueError("symbol verdicts and only symbol verdicts carry a symbol")
-
-
-def run_smp(
-    cfg: ProtocolConfig,
-    strategies: Callable[[int, PublicCoins | None], MessageMap],
-    referee: Callable[..., Verdict],
-    p: Pmf,
-    ) -> tuple[Verdict, Transcript]:
-    """Execute one SMP round.
-
-    strategies(i, coins) returns player i's MessageMap; in public mode every
-    player and the referee see the same PublicCoins object (replayed in a fixed
-    order), in private mode they receive None.  Each player draws exactly one
-    sample from p and one (lazy) message from its map using its own private
-    stream.  The referee is called as referee(messages) in private mode and
-    referee(messages, coins) in public mode.
-    """
-    if p.k != cfg.k:
-        raise ValueError("distribution does not match the configured alphabet")
-    coins = public_coins(cfg.master_seed) if cfg.coin_mode == "public" else None
-    messages = np.empty(cfg.n, dtype=np.int64)
-    for i in range(cfg.n):
-        rng_i = derive_private_coins(cfg.master_seed, i)
-        x = int(rng_i.choice(cfg.k, p=p.probs))
-        mmap = strategies(i, coins)
-        if mmap.ell != cfg.ell or mmap.k != cfg.k:
-            raise ValueError("strategy emits messages outside the configured channel")
-        m = mmap.message_for(x, rng_i)
-        if not (0 <= m < 2**cfg.ell):
-            raise ValueError("protocol violation: message does not fit in ell bits")
-        messages[i] = m
-    if cfg.coin_mode == "public":
-        verdict = referee(messages, coins)
-        transcript = Transcript(
-            messages=messages,
-            ell=cfg.ell,
-            public_seed=cfg.master_seed,
-            public_draw_log=list(coins.draw_log),
-        )
-    else:
-        verdict = referee(messages)
-        transcript = Transcript(messages=messages, ell=cfg.ell)
-    return verdict, transcript

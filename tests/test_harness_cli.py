@@ -1,16 +1,19 @@
 """Experiment harness and CLI front door."""
 
 import csv
+import dataclasses
 import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smpinfer.cli import main
 from smpinfer.dist import tv, uniform, Pmf
 from smpinfer.harness import (
     CalibrationFailure,
+    Cell,
     ExperimentConfig,
     TrialReport,
     calibrate,
@@ -21,6 +24,9 @@ from smpinfer.harness import (
     scaling_report,
     wilson_interval,
 )
+from smpinfer.public_uniformity import warmup_players
+
+TESTERS = ("smooth", "levin", "warmup", "private-si", "flying-pony")
 
 
 def small_config(**overrides):
@@ -47,6 +53,40 @@ class TestWilson:
     def test_extremes_stay_in_unit(self):
         lo, hi = wilson_interval(60, 60)
         assert hi >= 1.0 - 1e-9 and lo > 0.8
+
+
+class TestCell:
+    def test_bounds(self):
+        with pytest.raises(ValueError):
+            Cell(k=4, ell=0, n=10)
+        with pytest.raises(ValueError):
+            Cell(k=4, ell=1, n=0)
+        with pytest.raises(ValueError):
+            Cell.from_dict({"k": 4, "ell": 1, "players": 10})
+
+    OUT_OF_RANGE = {
+        "k": st.integers(max_value=0),
+        "ell": st.integers(max_value=0),
+        "eps": st.floats(max_value=0.0) | st.floats(min_value=1.0),
+        "n": st.integers(max_value=0),
+    }
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        k=st.integers(1, 10**6),
+        ell=st.integers(1, 30),
+        eps=st.none() | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        n=st.none() | st.integers(1, 10**9),
+        data=st.data(),
+    )
+    def test_roundtrip_and_out_of_range(self, k, ell, eps, n, data):
+        cell = Cell(k, ell, eps, n)
+        given = {"k": k, "ell": ell, "eps": eps, "n": n}
+        assert cell.to_dict() == {key: value for key, value in given.items() if value is not None}
+        assert Cell.from_dict(cell.to_dict()) == cell
+        field = data.draw(st.sampled_from(sorted(self.OUT_OF_RANGE)))
+        with pytest.raises(ValueError):
+            Cell.from_dict({**cell.to_dict(), field: data.draw(self.OUT_OF_RANGE[field])})
 
 
 class TestExperimentConfig:
@@ -110,11 +150,12 @@ class TestRunExperiment:
         assert a == b
 
     def test_csv_roundtrip(self):
-        res = run_experiment(small_config())
-        rows = list(csv.DictReader(io.StringIO(res.to_csv())))
-        assert len(rows) == 3
-        assert rows[0]["decision"] in ("accept_uniform", "reject")
-        assert int(rows[0]["players_used"]) > 0
+        for protocol in TESTERS:
+            res = run_experiment(small_config(protocol=protocol))
+            rows = list(csv.DictReader(io.StringIO(res.to_csv())))
+            assert len(rows) == 3
+            assert all(r["decision"] in ("accept_uniform", "reject") for r in rows), protocol
+            assert all(int(r["players_used"]) > 0 for r in rows), protocol
 
     def test_trial_isolation(self):
         # Re-running one trial in isolation reproduces its report.
@@ -146,7 +187,7 @@ class TestCalibrate:
         assert out["grid"] == [{"k": 8, "ell": 2, "eps": 0.4}]
         # Idempotence: re-checking the found constant still meets the target.
         again = calibrate("smooth", 1 / 3, [{"k": 8, "ell": 2, "eps": 0.4}], 100, master_seed=1)
-        assert again["constant"] == out["constant"]
+        assert again == out  # the payload holds no wall-clock field
 
 
 class TestScaling:
@@ -185,10 +226,45 @@ class TestCli:
     def test_missing_config_is_exit_3(self, capsys):
         assert main(["experiment", "--config", "/nonexistent.json"]) == 3
 
-    def test_bad_value_is_exit_3(self, capsys):
-        # undersized n is a config error
-        assert main(["test-uniformity", "--k", "8", "--ell", "2", "--eps", "0.4",
-                     "--protocol", "smooth", "--n", "3"]) == 3
+    @pytest.mark.parametrize(
+        "case",
+        [
+            ["--n", "3"],  # below the smooth schedule
+            ["--ell", "0"],
+            ["--eps", "1.5"],
+            ["--eps", "0"],
+            ["--n", "0"],
+            {"k": 8, "ell": 2, "eps": 0.4, "n": 0},  # experiment grid cells
+            {"k": 8, "ell": 2, "eps": 0.4, "players": 10},
+        ],
+        ids=["undersized-n", "ell-0", "eps-1.5", "eps-0", "n-0", "experiment-n-0", "experiment-unknown-key"],
+    )
+    def test_bad_value_is_exit_3(self, case, tmp_path, capsys):
+        if isinstance(case, dict):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"protocol": "smooth", "grid": [case], "trials": 1}))
+            argv = ["experiment", "--config", str(path)]
+        else:
+            argv = ["test-uniformity", "--k", "64", "--ell", "2", "--eps", "0.4", "--protocol", "smooth", *case]
+        assert main(argv) == 3
+        assert "config error" in capsys.readouterr().err
+
+    def test_warmup_runs_at_default_n(self, capsys):
+        assert main(["test-uniformity", "--k", "8", "--ell", "2", "--eps", "0.4", "--protocol", "warmup"]) == 0
+        row = json.loads(capsys.readouterr().out)
+        assert row["n"] == row["players_used"] == warmup_players(8, 0.4)
+
+    @pytest.mark.parametrize("protocol", TESTERS)
+    def test_cli_default_n_matches_harness(self, protocol, capsys):
+        cell = {"k": 8, "ell": 2, "eps": 0.4}
+        assert main(["test-uniformity", "--k", "8", "--ell", "2", "--eps", "0.4", "--protocol", protocol]) == 0
+        n_cli = json.loads(capsys.readouterr().out)["n"]
+        default = run_trial(small_config(protocol=protocol, grid=(cell,)), 0, 0)
+        explicit = run_trial(small_config(protocol=protocol, grid=({**cell, "n": n_cli},)), 0, 0)
+        # A cell without n runs exactly as one that gives the CLI's n ...
+        assert dataclasses.replace(default, n=0, wall_time_s=0.0) == dataclasses.replace(explicit, n=0, wall_time_s=0.0)
+        # ... and records that n, except private-si, whose rows record the players its blocks consumed.
+        assert default.n == (default.players_used if protocol == "private-si" else n_cli)
 
     def test_experiment_outputs_deterministic(self, tmp_path, capsys):
         cfg = {"protocol": "smooth", "instance": {"name": "uniform"},

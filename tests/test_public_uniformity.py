@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smpinfer.dist import SubsetSpec, paninski, PaninskiParam, uniform
+from smpinfer.dist import paninski, PaninskiParam, uniform
 from smpinfer.public_uniformity import (
     DEFAULT_LEVIN_CONSTANTS,
     LevinConstants,
@@ -15,7 +15,6 @@ from smpinfer.public_uniformity import (
     levin_protocol,
     levin_threshold,
     smooth_protocol,
-    subset_report_strategy,
     warmup_protocol,
 )
 from smpinfer.smp import public_coins
@@ -157,19 +156,6 @@ class TestLevinThreshold:
         j = levin_threshold(q, eps)
         L = math.ceil(math.log2(2 / eps))
         assert j is not None and 1 <= j <= L
-
-
-class TestSubsetStrategy:
-    def test_mapping(self):
-        S = SubsetSpec(k=6, s=3, members=np.array([1, 3, 4]))
-        W = subset_report_strategy(S, 2)
-        msg_of = np.argmax(W.rows, axis=1)
-        assert msg_of.tolist() == [0, 1, 0, 2, 3, 0]
-
-    def test_subset_too_large(self):
-        S = SubsetSpec(k=6, s=4, members=np.array([0, 1, 2, 3]))
-        with pytest.raises(ValueError):
-            subset_report_strategy(S, 2)
 
 
 class TestLevinProtocol:

@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 from smpinfer.dist import Pmf, split_duplicate, uniform
 from smpinfer.simulate import (
     PlayerCapExceeded,
+    _run_batches,
     contiguous_blocks,
     player_bound,
     rho,
-    run_batch,
     simulate_many,
     simulate_sample,
 )
@@ -81,11 +81,9 @@ class TestBatchLaw:
     def test_run_batch_outputs_valid_symbol_or_none(self):
         q = split_duplicate(uniform(4))
         blocks = contiguous_blocks(q.k, 3)
-        rng = np.random.default_rng(0)
-        outcomes = [run_batch(q, blocks, rng) for _ in range(200)]
-        declared = [o for o in outcomes if o is not None]
-        assert declared and all(0 <= o < q.k for o in declared)
-        assert any(o is None for o in outcomes)
+        declared, symbols = _run_batches(q.probs, blocks, 200, np.random.default_rng(0))
+        assert declared.any() and np.all((symbols[declared] >= 0) & (symbols[declared] < q.k))
+        assert not declared.all() and np.all(symbols[~declared] == -1)
 
 
 class TestSimulateMany:
