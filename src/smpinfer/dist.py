@@ -1,4 +1,4 @@
-"""Finite-alphabet probability distributions, distances, and hard-instance generators.
+"""Finite-alphabet probability distributions, total variation, and hard-instance generators.
 
 Symbols are 0-based: a distribution over an alphabet of size k assigns mass to
 {0, ..., k-1}.  All generators return immutable :class:`Pmf` objects that
@@ -9,7 +9,7 @@ construction.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,15 +22,8 @@ __all__ = [
     "paninski",
     "flying_pony",
     "tv",
-    "lp2_dist",
-    "chi2",
-    "chi2_plain",
-    "kl",
-    "sample",
     "split_duplicate",
-    "merge_pairs",
     "flatten",
-    "conditional",
 ]
 
 _SUM_TOL = 1e-9
@@ -61,9 +54,6 @@ class Pmf:
         p = p / total
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
-
-    def l2_norm(self) -> float:
-        return float(np.sqrt(np.sum(self.probs**2)))
 
     def to_json(self) -> str:
         return json.dumps({"k": self.k, "probs": [float(x) for x in self.probs]})
@@ -123,18 +113,6 @@ class Partition:
         counts = np.bincount(self.assign, minlength=self.L)
         return self.k % self.L == 0 and bool(counts.max() == counts.min())
 
-    def part_members(self, r: int) -> np.ndarray:
-        return np.flatnonzero(self.assign == r)
-
-    @classmethod
-    def from_blocks(cls, k: int, blocks: list[np.ndarray]) -> "Partition":
-        assign = np.full(k, -1, dtype=np.int64)
-        for r, members in enumerate(blocks):
-            assign[np.asarray(members, dtype=np.int64)] = r
-        if np.any(assign < 0):
-            raise ValueError("blocks do not cover the alphabet")
-        return cls(k=k, L=len(blocks), assign=assign)
-
 
 @dataclass(frozen=True)
 class SubsetSpec:
@@ -193,64 +171,11 @@ def flying_pony(k: int, theta) -> Pmf:
     return Pmf(k=k, probs=p)
 
 
-def _check_match(p: Pmf, q: Pmf):
-    if p.k != q.k:
-        raise ValueError(f"alphabet sizes differ: {p.k} vs {q.k}")
-
-
 def tv(p: Pmf, q: Pmf) -> float:
     """Total variation distance, 0.5 * l1."""
-    _check_match(p, q)
+    if p.k != q.k:
+        raise ValueError(f"alphabet sizes differ: {p.k} vs {q.k}")
     return float(0.5 * np.abs(p.probs - q.probs).sum())
-
-
-def lp2_dist(p: Pmf, q: Pmf) -> float:
-    """Euclidean distance between mass vectors."""
-    _check_match(p, q)
-    return float(np.sqrt(np.sum((p.probs - q.probs) ** 2)))
-
-
-def chi2(p: Pmf, q: Pmf) -> float:
-    """Chi-square divergence with denominator q_x(1 - q_x).
-
-    Requires 0 < q_x < 1 wherever p_x > 0 or q_x > 0.
-    """
-    _check_match(p, q)
-    qq = q.probs
-    active = (p.probs > 0) | (qq > 0)
-    denom = qq * (1.0 - qq)
-    if np.any(denom[active] <= 0):
-        raise ZeroDivisionError("chi2 denominator q(1-q) vanishes on the support")
-    d = p.probs - qq
-    return float(np.sum(d[active] ** 2 / denom[active]))
-
-
-def chi2_plain(p: Pmf, q: Pmf) -> float:
-    """Plain chi-square divergence, denominator q_x (likelihood-ratio form)."""
-    _check_match(p, q)
-    qq = q.probs
-    active = (p.probs > 0) | (qq > 0)
-    if np.any(qq[active] <= 0):
-        raise ZeroDivisionError("chi2 denominator q vanishes where p has mass")
-    d = p.probs - qq
-    return float(np.sum(d[active] ** 2 / qq[active]))
-
-
-def kl(p: Pmf, q: Pmf) -> float:
-    """Kullback-Leibler divergence in nats."""
-    _check_match(p, q)
-    pp, qq = p.probs, q.probs
-    pos = pp > 0
-    if np.any(qq[pos] <= 0):
-        raise ZeroDivisionError("kl undefined: p has mass where q does not")
-    return float(np.sum(pp[pos] * np.log(pp[pos] / qq[pos])))
-
-
-def sample(p: Pmf, rng: np.random.Generator, size: int | None = None):
-    """Draw i.i.d. symbols from p.  Returns a scalar when size is None."""
-    if size is None:
-        return int(rng.choice(p.k, p=p.probs))
-    return rng.choice(p.k, size=size, p=p.probs)
 
 
 def split_duplicate(p: Pmf) -> Pmf:
@@ -262,13 +187,6 @@ def split_duplicate(p: Pmf) -> Pmf:
     return Pmf(k=2 * p.k, probs=q)
 
 
-def merge_pairs(q: Pmf) -> Pmf:
-    """Inverse of split_duplicate: add adjacent pairs."""
-    if q.k % 2 != 0:
-        raise ValueError("alphabet size must be even")
-    return Pmf(k=q.k // 2, probs=q.probs[0::2] + q.probs[1::2])
-
-
 def flatten(p: Pmf, part: Partition) -> Pmf:
     """The L-ary distribution induced by p on a partition of its domain."""
     if part.k != p.k:
@@ -276,13 +194,3 @@ def flatten(p: Pmf, part: Partition) -> Pmf:
     out = np.bincount(part.assign, weights=p.probs, minlength=part.L)
     return Pmf(k=part.L, probs=out)
 
-
-def conditional(p: Pmf, S: SubsetSpec) -> Pmf:
-    """The conditional distribution of p restricted to S, renormalized."""
-    if S.k != p.k:
-        raise ValueError("subset does not match the alphabet")
-    mass = p.probs[S.members]
-    total = mass.sum()
-    if total <= 0:
-        raise ZeroDivisionError("p assigns zero mass to S")
-    return Pmf(k=S.s, probs=mass / total)

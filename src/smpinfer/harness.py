@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import math
-import time
 from dataclasses import dataclass, asdict
 from typing import Callable
 
@@ -154,9 +153,8 @@ class Protocol:
         return cell.n if cell.n is not None else self.default_n(cell.k, cell.ell, cell.eps, constants)
 
 
-def _smooth_kwargs(constants: dict | None) -> dict:
-    constants = constants or {}
-    return {"m": constants.get("smooth_m", 12), "c_l2": constants.get("c_l2", testers.C_L2_DEFAULT)}
+def _c_l2(constants: dict | None) -> float:
+    return (constants or {}).get("c_l2", testers.C_L2_DEFAULT)
 
 
 def _levin_constants(constants: dict | None) -> pu.LevinConstants:
@@ -201,8 +199,8 @@ def _run_dummy_const(p, ell, eps, n, rng, coins, constants):
 
 PROTOCOLS = {
     "smooth": Protocol(
-        lambda k, ell, eps, c: pu.SmoothSchedule.from_params(k, ell, eps, **_smooth_kwargs(c)).total_players,
-        lambda p, ell, eps, n, rng, coins, c: pu.smooth_protocol(p, ell, eps, n, coins, rng, **_smooth_kwargs(c)),
+        lambda k, ell, eps, c: pu.SmoothSchedule.from_params(k, ell, eps, c_l2=_c_l2(c)).total_players,
+        lambda p, ell, eps, n, rng, coins, c: pu.smooth_protocol(p, ell, eps, n, coins, rng, c_l2=_c_l2(c)),
         ("c_l2", tuple(1.0 * 1.5**i for i in range(8))),
     ),
     "levin": Protocol(_levin_players, _run_levin, ("levin_scale", tuple(0.25 * 1.4**i for i in range(10)))),
@@ -240,7 +238,6 @@ class ExperimentConfig:
     trials: int
     master_seed: int
     constants: dict | None = None
-    schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
         if not self.grid:
@@ -283,7 +280,6 @@ class TrialReport:
     correct: bool
     players_used: int
     public_bits: int
-    wall_time_s: float = 0.0  # diagnostic only; never persisted
 
     CSV_FIELDS = (
         "cell", "trial", "k", "ell", "eps", "n", "seed",
@@ -330,9 +326,8 @@ def run_trial(cfg: ExperimentConfig, cell_index: int, trial_index: int) -> Trial
     inst_rng = np.random.default_rng(children[0])
     p, expected = make_instance(cfg.instance, cell.k, cell.eps, inst_rng)
     rng, coins = np.random.default_rng(children[1]), PublicCoins(children[2])
-    t0 = time.perf_counter()
-    verdict = proto.run(p, cell.ell, cell.eps, proto.n_for(cell, cfg.constants), rng, coins, cfg.constants)
-    wall = time.perf_counter() - t0
+    n = proto.n_for(cell, cfg.constants)
+    verdict = proto.run(p, cell.ell, cell.eps, n, rng, coins, cfg.constants)
     players = int(verdict.diagnostics["players_used"])
     if cfg.protocol == "simulate":
         expected = "symbol"
@@ -343,15 +338,14 @@ def run_trial(cfg: ExperimentConfig, cell_index: int, trial_index: int) -> Trial
         k=cell.k,
         ell=cell.ell,
         eps=cell.eps,
-        # A cell without n records the players the trial used.
-        n=players if cell.n is None else cell.n,
+        # A protocol that takes no n (simulate) records the players it used.
+        n=players if n is None else n,
         seed=f"{cfg.master_seed}/{cell_index}/{trial_index}",
         decision=verdict.decision,
         expected=expected,
         correct=bool(correct),
         players_used=players,
         public_bits=int(verdict.diagnostics.get("public_bits", 0)),
-        wall_time_s=wall,
     )
 
 
@@ -361,10 +355,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_trial_worker, [(cfg, ci, ti) for ci, ti in coords], chunksize=8))
+            reports = list(pool.map(run_trial, [cfg] * len(coords), *zip(*coords), chunksize=8))
     else:
         reports = [run_trial(cfg, ci, ti) for ci, ti in coords]
-    reports.sort(key=lambda r: (r.cell, r.trial))
     summaries = []
     for ci, cell in enumerate(cfg.grid):
         cell_reports = [r for r in reports if r.cell == ci]
@@ -383,11 +376,6 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
             }
         )
     return ExperimentResult(config=cfg, reports=reports, summaries=summaries)
-
-
-def _trial_worker(args):
-    cfg, ci, ti = args
-    return run_trial(cfg, ci, ti)
 
 
 # ---------------------------------------------------------------------------

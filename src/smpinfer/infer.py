@@ -15,8 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .dist import Pmf, split_duplicate
-from .simulate import _run_batches, contiguous_blocks, player_bound
+from .dist import Pmf
+from .simulate import _simulate, batch_players, player_bound
 from .smp import Verdict
 from . import testers
 
@@ -46,12 +46,9 @@ class BlockSimResult:
 
 def block_budget_players(k: int, ell: int) -> tuple[int, int]:
     """(players per block, batches per block): 2x the expected-player bound, whole batches."""
-    q_k = 2 * k
-    s = 2**ell - 1
-    batch_players = 2 * len(contiguous_blocks(q_k, s))
-    budget = 2.0 * player_bound(k, ell)
-    batches = max(1, math.ceil(budget / batch_players))
-    return batches * batch_players, batches
+    players = batch_players(k, ell)
+    batches = max(1, math.ceil(2.0 * player_bound(k, ell) / players))
+    return batches * players, batches
 
 
 def blocks_for_psi(psi: int) -> int:
@@ -63,27 +60,14 @@ def run_block_simulations(p: Pmf, ell: int, B: int, rng: np.random.Generator) ->
     """Run B independent budgeted block simulations, vectorized across blocks."""
     if B < 1:
         raise ValueError("need at least one block")
-    q = split_duplicate(p)
-    s = 2**ell - 1
-    blocks = contiguous_blocks(q.k, s)
-    batch_players = 2 * len(blocks)
     per_block_players, budget_batches = block_budget_players(p.k, ell)
-    symbols = np.full(B, -1, dtype=np.int64)
-    players = np.zeros(B, dtype=np.int64)
-    active = np.arange(B)
-    for _ in range(budget_batches):
-        if not active.size:
-            break
-        declared, syms = _run_batches(q.probs, blocks, active.size, rng)
-        players[active] += batch_players
-        symbols[active[declared]] = syms[declared] // 2
-        active = active[~declared]
+    symbols, batches = _simulate(p, ell, B, budget_batches, rng)
     good = symbols >= 0
     return BlockSimResult(
         samples=symbols[good],
         successes=int(good.sum()),
         blocks=B,
-        players_used=int(players.sum()),
+        players_used=int(batches.sum()) * batch_players(p.k, ell),
         players_budget=B * per_block_players,
     )
 

@@ -21,13 +21,13 @@ worst-case sizes the floor is inactive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dist import Pmf, flatten, uniform
 from .smp import PublicCoins, Verdict
-from .testers import C_L2_DEFAULT, L2TestParams, l2_uniformity_test
+from .testers import C_L2_DEFAULT, L2TestParams, collision_statistic, l2_uniformity_test
 
 __all__ = [
     "SmoothSchedule",
@@ -293,14 +293,6 @@ def levin_threshold(q_values, eps: float) -> int | None:
     return None
 
 
-def _collision_rate(values: np.ndarray, s: int) -> tuple[float, int]:
-    counts = np.bincount(values, minlength=s)
-    M = values.size
-    pairs = M * (M - 1) // 2
-    T = int(np.sum(counts * (counts - 1) // 2))
-    return (T / pairs if pairs else 0.0), pairs
-
-
 def levin_protocol(
     p: Pmf,
     ell: int,
@@ -353,7 +345,8 @@ def levin_protocol(
                 failures += 1
                 first_failure = first_failure or ("shortfall", j)
                 continue
-            rate, pairs = _collision_rate(cond, s)
+            collisions, pairs = collision_statistic(cond, s)
+            rate = collisions / pairs
             margin = max(sep / 2.0, z * math.sqrt((1.0 / s) * (1.0 - 1.0 / s) / pairs))
             if rate > 1.0 / s + margin:
                 failures += 1

@@ -1,7 +1,8 @@
 """Distributed simulation of one sample from an unknown p with ell-bit messages.
 
-The scheme: duplicate the alphabet (q(2i) = q(2i+1) = p_i/2), partition the
-duplicated alphabet into blocks of size at most 2^ell - 1, and assign two
+The scheme: duplicate the alphabet (q(2i) = q(2i+1) = p_i/2), cut the
+duplicated alphabet into contiguous blocks of 2^ell - 1 symbols (the last may
+be shorter), and assign two
 players (a primary and a secondary) to each block.  A player whose sample lies
 in its block sends the sample's 1-based index within the block, otherwise the
 all-zero message.  The referee flips each nonzero message to zero independently
@@ -26,9 +27,9 @@ __all__ = [
     "PLAYER_CAP",
     "contiguous_blocks",
     "rho",
-    "simulate_sample",
     "simulate_many",
     "player_bound",
+    "batch_players",
 ]
 
 PLAYER_CAP = 10**6
@@ -66,38 +67,30 @@ def rho(block_probs) -> float:
     return float(np.prod(1.0 - b))
 
 
-def _block_lookup(k: int, blocks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-symbol (block index, 1-based position within block)."""
-    blk_of = np.full(k, -1, dtype=np.int64)
-    pos_of = np.zeros(k, dtype=np.int64)
-    for j, members in enumerate(blocks):
-        members = np.asarray(members, dtype=np.int64)
-        blk_of[members] = j
-        pos_of[members] = np.arange(1, members.size + 1)
-    if np.any(blk_of < 0):
-        raise ValueError("blocks must cover the alphabet")
-    return blk_of, pos_of
+def batch_players(k: int, ell: int) -> int:
+    """Players in one batch: a primary and a secondary per block of the duplicated [2k]."""
+    if ell < 1:
+        raise ValueError("ell must be >= 1")
+    return 2 * -(-2 * k // (2**ell - 1))
 
 
 def _run_batches(
     probs: np.ndarray,
-    blocks: list[np.ndarray],
+    s: int,
     T: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run T independent batches; return (declared flags, declared symbols).
 
-    Each batch uses 2*len(blocks) players (a primary and a secondary per block).
+    The blocks are s contiguous symbols each: symbol x lies in block x // s at
+    1-based position x % s + 1.  Each batch uses batch_players players.
     """
-    m = len(blocks)
-    k = probs.size
-    blk_of, pos_of = _block_lookup(k, blocks)
+    m = -(-probs.size // s)
     cdf = np.cumsum(probs)
     cdf[-1] = 1.0
     # samples[t, 0, j] is the primary player of block j in batch t.
     samples = np.searchsorted(cdf, rng.random((T, 2, m)), side="right")
-    in_own_block = blk_of[samples] == np.arange(m)
-    msgs = np.where(in_own_block, pos_of[samples], 0)
+    msgs = np.where(samples // s == np.arange(m), samples % s + 1, 0)
     # Referee flips each nonzero message to zero with probability 1/2.
     msgs[(msgs > 0) & (rng.random((T, 2, m)) < 0.5)] = 0
     primary = msgs[:, 0, :]
@@ -106,14 +99,31 @@ def _run_batches(
     winner = np.argmax(nonzero, axis=1)
     sec_zero = msgs[np.arange(T), 1, winner] == 0
     declared = (counts == 1) & sec_zero
-    first = np.concatenate([b for b in blocks])  # symbols in block order
-    offsets = np.cumsum([0] + [len(b) for b in blocks[:-1]])
-    symbols = np.where(
-        declared, offsets[winner] + primary[np.arange(T), winner] - 1, -1
-    )
-    # offsets[j] + (pos-1) indexes into the concatenated block list.
-    symbols = np.where(declared, first[np.clip(symbols, 0, None)], -1)
+    symbols = np.where(declared, winner * s + primary[np.arange(T), winner] - 1, -1)
     return declared, symbols
+
+
+def _simulate(
+    p: Pmf, ell: int, count: int, max_batches: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run batches for `count` samples until each declares or has run max_batches batches.
+
+    Returns (symbols, batches): the declared symbol of each sample, -1 where
+    none was declared, and the batches each sample ran.
+    """
+    q = split_duplicate(p)
+    s = 2**ell - 1
+    symbols = np.full(count, -1, dtype=np.int64)
+    batches = np.zeros(count, dtype=np.int64)
+    active = np.arange(count)
+    for _ in range(max_batches):
+        if not active.size:
+            break
+        declared, syms = _run_batches(q.probs, s, active.size, rng)
+        batches[active] += 1
+        symbols[active[declared]] = syms[declared] // 2  # merge duplicate pairs back to [k]
+        active = active[~declared]
+    return symbols, batches
 
 
 def simulate_many(
@@ -124,40 +134,12 @@ def simulate_many(
     player_cap: int = PLAYER_CAP,
 ) -> list[SimOutcome]:
     """Simulate `count` i.i.d. samples from p, batching across samples per round."""
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
-    if count == 0:
-        return []
-    q = split_duplicate(p)
-    s = 2**ell - 1
-    blocks = contiguous_blocks(q.k, s)
-    batch_players = 2 * len(blocks)
-    max_batches = player_cap // batch_players
-    symbols = np.full(count, -1, dtype=np.int64)
-    batches = np.zeros(count, dtype=np.int64)
-    active = np.arange(count)
-    rounds = 0
-    while active.size:
-        rounds += 1
-        if rounds > max_batches:
-            raise PlayerCapExceeded(
-                f"{active.size} sample(s) still undeclared after {player_cap} players each"
-            )
-        declared, syms = _run_batches(q.probs, blocks, active.size, rng)
-        batches[active] += 1
-        hit = active[declared]
-        symbols[hit] = syms[declared] // 2  # merge duplicate pairs back to [k]
-        active = active[~declared]
+    players = batch_players(p.k, ell)
+    symbols, batches = _simulate(p, ell, count, player_cap // players, rng)
+    undeclared = int(np.sum(symbols < 0))
+    if undeclared:
+        raise PlayerCapExceeded(f"{undeclared} sample(s) still undeclared after {player_cap} players each")
     return [
-        SimOutcome(
-            symbol=int(symbols[i]),
-            players_used=int(batches[i]) * batch_players,
-            batches_used=int(batches[i]),
-        )
-        for i in range(count)
+        SimOutcome(symbol=sym, players_used=b * players, batches_used=b)
+        for sym, b in zip(symbols.tolist(), batches.tolist())
     ]
-
-
-def simulate_sample(p: Pmf, ell: int, rng: np.random.Generator) -> SimOutcome:
-    """Simulate one sample distributed exactly as p."""
-    return simulate_many(p, ell, 1, rng)[0]

@@ -15,10 +15,8 @@ from .dist import Pmf
 
 __all__ = [
     "L2TestParams",
-    "BiasTestParams",
     "collision_statistic",
     "l2_uniformity_test",
-    "bias_test",
     "learn_empirical",
     "centralized_uniformity_test",
     "centralized_n_req",
@@ -50,27 +48,6 @@ class L2TestParams:
         return math.ceil(self.c_l2 * math.sqrt(self.L) / self.gamma**2 * math.log(1.0 / self.delta))
 
 
-@dataclass(frozen=True)
-class BiasTestParams:
-    """Distinguish bias p0 from bias outside (1 +/- alpha) p0, failure prob delta."""
-
-    p0: float
-    alpha: float
-    delta: float
-
-    def __post_init__(self):
-        if not (0 < self.p0 < 1):
-            raise ValueError("p0 must lie in (0,1)")
-        if not (0 < self.alpha <= 1):
-            raise ValueError("alpha must lie in (0,1]")
-        if not (0 < self.delta < 1):
-            raise ValueError("delta must lie in (0,1)")
-
-    @property
-    def n_req(self) -> int:
-        return math.ceil(12.0 * math.log(2.0 / self.delta) / (self.p0 * self.alpha**2))
-
-
 def collision_statistic(samples: np.ndarray, L: int) -> tuple[int, int]:
     """(number of colliding pairs, total pairs) among the samples on [L]."""
     samples = np.asarray(samples)
@@ -93,14 +70,6 @@ def l2_uniformity_test(samples, params: L2TestParams, null: Pmf | None = None) -
     null_rate = 1.0 / params.L if null is None else float(np.sum(null.probs**2))
     threshold = null_rate + params.gamma**2 / (2.0 * params.L)
     return "accept" if T / pairs <= threshold else "reject"
-
-
-def bias_test(bits, params: BiasTestParams) -> str:
-    """Two-sided threshold test: accept iff |mean - p0| <= alpha * p0 / 2."""
-    bits = np.asarray(bits)
-    if bits.size < params.n_req:
-        raise ValueError(f"need at least n_req={params.n_req} bits, got {bits.size}")
-    return "accept" if abs(float(bits.mean()) - params.p0) <= params.alpha * params.p0 / 2.0 else "reject"
 
 
 def learn_empirical(samples, k: int) -> Pmf:

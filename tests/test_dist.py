@@ -12,16 +12,9 @@ from smpinfer.dist import (
     Partition,
     Pmf,
     SubsetSpec,
-    chi2,
-    chi2_plain,
-    conditional,
     flatten,
     flying_pony,
-    kl,
-    lp2_dist,
-    merge_pairs,
     paninski,
-    sample,
     split_duplicate,
     tv,
     uniform,
@@ -64,9 +57,6 @@ class TestPmf:
         q = Pmf.from_json(p.to_json())
         assert q.k == p.k and np.array_equal(q.probs, p.probs)
 
-    def test_l2_norm(self):
-        assert uniform(4).l2_norm() == pytest.approx(0.5, abs=1e-15)
-
 
 class TestGenerators:
     def test_uniform(self):
@@ -102,30 +92,6 @@ class TestDistances:
         q = Pmf(k=2, probs=np.array([0.9, 0.1]))
         assert tv(p, q) == pytest.approx(0.4, abs=1e-15)
 
-    def test_chi2_conventions(self):
-        # [DERIVED: hand computation] p=[.6,.4], q=[.5,.5]:
-        # plain chi2 = .01/.5 + .01/.5 = 0.04; q(1-q) denom = .01/.25*2 = 0.08.
-        p = Pmf(k=2, probs=np.array([0.6, 0.4]))
-        q = Pmf(k=2, probs=np.array([0.5, 0.5]))
-        assert chi2_plain(p, q) == pytest.approx(0.04, abs=1e-12)
-        assert chi2(p, q) == pytest.approx(0.08, abs=1e-12)
-
-    def test_chi2_zero_denominator(self):
-        p = Pmf(k=2, probs=np.array([0.5, 0.5]))
-        q = Pmf(k=2, probs=np.array([1.0, 0.0]))
-        with pytest.raises(ZeroDivisionError):
-            chi2(p, q)
-        with pytest.raises(ZeroDivisionError):
-            chi2_plain(p, q)
-
-    def test_kl_properties(self):
-        p = Pmf(k=2, probs=np.array([0.6, 0.4]))
-        q = Pmf(k=2, probs=np.array([0.5, 0.5]))
-        assert kl(p, p) == 0.0
-        assert kl(p, q) > 0
-        with pytest.raises(ZeroDivisionError):
-            kl(p, Pmf(k=2, probs=np.array([1.0, 0.0])))
-
     def test_mismatched_alphabets(self):
         with pytest.raises(ValueError):
             tv(uniform(2), uniform(3))
@@ -139,7 +105,7 @@ class TestDistances:
         assert tv(p, q) == pytest.approx(tv(q, p), abs=1e-15)
         assert tv(p, p) == 0.0
         # l1/l2 relation
-        assert 2 * tv(p, q) >= lp2_dist(p, q) - 1e-12
+        assert 2 * tv(p, q) >= np.linalg.norm(p.probs - q.probs) - 1e-12
 
 
 class TestTransforms:
@@ -148,14 +114,10 @@ class TestTransforms:
     def test_split_merge_roundtrip(self, p):
         q = split_duplicate(p)
         assert q.k == 2 * p.k
-        assert np.allclose(merge_pairs(q).probs, p.probs, atol=1e-15)
+        assert np.allclose(q.probs[0::2] + q.probs[1::2], p.probs, atol=1e-15)
         # l2 norm drops by exactly sqrt(2)
-        assert q.l2_norm() == pytest.approx(p.l2_norm() / math.sqrt(2), abs=1e-12)
-        assert q.l2_norm() <= 1 / math.sqrt(2) + 1e-12
-
-    def test_merge_pairs_odd_fails(self):
-        with pytest.raises(ValueError):
-            merge_pairs(uniform(3))
+        assert np.linalg.norm(q.probs) == pytest.approx(np.linalg.norm(p.probs) / math.sqrt(2), abs=1e-12)
+        assert np.linalg.norm(q.probs) <= 1 / math.sqrt(2) + 1e-12
 
     def test_flatten_preserves_mass(self):
         p = Pmf(k=4, probs=np.array([0.1, 0.2, 0.3, 0.4]))
@@ -167,31 +129,11 @@ class TestTransforms:
         part = Partition(k=8, L=4, assign=np.array([0, 1, 2, 3, 0, 1, 2, 3]))
         assert np.allclose(flatten(uniform(8), part).probs, 0.25, atol=1e-15)
 
-    def test_conditional(self):
-        p = Pmf(k=4, probs=np.array([0.1, 0.2, 0.3, 0.4]))
-        S = SubsetSpec(k=4, s=2, members=np.array([1, 3]))
-        c = conditional(p, S)
-        assert np.allclose(c.probs, [0.2 / 0.6, 0.4 / 0.6], atol=1e-15)
-
-    def test_conditional_zero_mass(self):
-        p = Pmf(k=3, probs=np.array([1.0, 0.0, 0.0]))
-        with pytest.raises(ZeroDivisionError):
-            conditional(p, SubsetSpec(k=3, s=1, members=np.array([2])))
-
-
 class TestPartitionAndSubset:
     def test_balanced_flags(self):
         assert Partition(k=4, L=2, assign=np.array([0, 0, 1, 1])).exactly_balanced
         assert Partition(k=5, L=2, assign=np.array([0, 0, 1, 1, 1])).balanced
         assert not Partition(k=4, L=2, assign=np.array([0, 0, 0, 1])).balanced
-
-    def test_part_members(self):
-        part = Partition(k=4, L=2, assign=np.array([0, 1, 0, 1]))
-        assert np.array_equal(part.part_members(1), [1, 3])
-
-    def test_from_blocks_requires_cover(self):
-        with pytest.raises(ValueError):
-            Partition.from_blocks(4, [np.array([0, 1])])
 
     def test_subset_validation(self):
         with pytest.raises(ValueError):
@@ -199,20 +141,3 @@ class TestPartitionAndSubset:
         with pytest.raises(ValueError):
             SubsetSpec(k=4, s=2, members=np.array([1, 4]))
 
-
-class TestSampling:
-    def test_sample_deterministic_given_seed(self):
-        p = Pmf(k=3, probs=np.array([0.2, 0.3, 0.5]))
-        a = sample(p, np.random.default_rng(7), size=100)
-        b = sample(p, np.random.default_rng(7), size=100)
-        assert np.array_equal(a, b)
-
-    def test_sample_distribution(self):
-        p = Pmf(k=3, probs=np.array([0.2, 0.3, 0.5]))
-        xs = sample(p, np.random.default_rng(0), size=200_000)
-        emp = np.bincount(xs, minlength=3) / xs.size
-        assert np.max(np.abs(emp - p.probs)) < 0.01
-
-    def test_scalar_sample(self):
-        x = sample(uniform(4), np.random.default_rng(1))
-        assert isinstance(x, int) and 0 <= x < 4

@@ -1,7 +1,6 @@
 """Experiment harness and CLI front door."""
 
 import csv
-import dataclasses
 import io
 import json
 
@@ -261,10 +260,8 @@ class TestCli:
         n_cli = json.loads(capsys.readouterr().out)["n"]
         default = run_trial(small_config(protocol=protocol, grid=(cell,)), 0, 0)
         explicit = run_trial(small_config(protocol=protocol, grid=({**cell, "n": n_cli},)), 0, 0)
-        # A cell without n runs exactly as one that gives the CLI's n ...
-        assert dataclasses.replace(default, n=0, wall_time_s=0.0) == dataclasses.replace(explicit, n=0, wall_time_s=0.0)
-        # ... and records that n, except private-si, whose rows record the players its blocks consumed.
-        assert default.n == (default.players_used if protocol == "private-si" else n_cli)
+        # A cell without n runs exactly as one that gives the CLI's n, and records that n.
+        assert default == explicit
 
     def test_experiment_outputs_deterministic(self, tmp_path, capsys):
         cfg = {"protocol": "smooth", "instance": {"name": "uniform"},

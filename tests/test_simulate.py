@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smpinfer.dist import Pmf, split_duplicate, uniform
+from smpinfer.infer import run_block_simulations
 from smpinfer.simulate import (
     PlayerCapExceeded,
     _run_batches,
+    batch_players,
     contiguous_blocks,
     player_bound,
     rho,
     simulate_many,
-    simulate_sample,
 )
 from smpinfer.verify import batch_law_enumeration, rho_enumeration
 
@@ -29,6 +30,12 @@ class TestBlocks:
     def test_bad_size(self):
         with pytest.raises(ValueError):
             contiguous_blocks(4, 0)
+
+    @pytest.mark.parametrize("k, ell", [(5, 2), (3, 3), (33, 3), (33, 6), (64, 2), (1000, 4)])
+    def test_batch_players_counts_blocks(self, k, ell):
+        # 2^ell - 1 does not divide 2k here, so the last block is short.
+        assert (2 * k) % (2**ell - 1) != 0
+        assert batch_players(k, ell) == 2 * len(contiguous_blocks(2 * k, 2**ell - 1))
 
 
 class TestPlayerBound:
@@ -80,8 +87,7 @@ class TestBatchLaw:
 
     def test_run_batch_outputs_valid_symbol_or_none(self):
         q = split_duplicate(uniform(4))
-        blocks = contiguous_blocks(q.k, 3)
-        declared, symbols = _run_batches(q.probs, blocks, 200, np.random.default_rng(0))
+        declared, symbols = _run_batches(q.probs, 3, 200, np.random.default_rng(0))
         assert declared.any() and np.all((symbols[declared] >= 0) & (symbols[declared] < q.k))
         assert not declared.all() and np.all(symbols[~declared] == -1)
 
@@ -120,9 +126,20 @@ class TestSimulateMany:
         assert [o.symbol for o in a] == [o.symbol for o in b]
         assert [o.players_used for o in a] == [o.players_used for o in b]
 
-    def test_simulate_sample(self):
-        out = simulate_sample(uniform(4), 1, np.random.default_rng(0))
-        assert 0 <= out.symbol < 4 and out.players_used > 0
+    def test_one_block_covers_alphabet(self):
+        # 2^ell - 1 = 7 >= 2k = 6: one block, so one primary and one secondary
+        # player per batch.  Both always send nonzero, so a batch declares iff
+        # the primary message survives its flip and the secondary's does not:
+        # probability exactly 1/4.
+        p = Pmf(k=3, probs=np.array([0.5, 0.0, 0.5]))
+        outs = simulate_many(p, 3, 4000, np.random.default_rng(6))
+        batches = np.array([o.batches_used for o in outs], dtype=float)
+        assert all(o.players_used == 2 * o.batches_used for o in outs)
+        assert {o.symbol for o in outs} == {0, 2}
+        assert abs(batches.mean() - 4.0) <= 3 * batches.std() / np.sqrt(batches.size)
+        res = run_block_simulations(p, 3, 500, np.random.default_rng(7))
+        assert res.players_used <= res.players_budget
+        assert set(res.samples.tolist()) <= {0, 2}
 
     def test_point_mass(self):
         # [TRIVIAL] a point mass is always simulated to its only symbol.

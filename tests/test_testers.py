@@ -1,15 +1,13 @@
-"""Centralized referee subroutines: collision tester, bias tester, learner."""
+"""Centralized referee subroutines: collision tester, learner."""
 
 import math
 
 import numpy as np
 import pytest
 
-from smpinfer.dist import Pmf, paninski, PaninskiParam, sample, uniform
+from smpinfer.dist import Pmf, paninski, PaninskiParam, uniform
 from smpinfer.testers import (
-    BiasTestParams,
     L2TestParams,
-    bias_test,
     centralized_n_req,
     centralized_uniformity_test,
     collision_statistic,
@@ -58,26 +56,8 @@ class TestL2Test:
         null = Pmf(k=3, probs=np.array([0.4, 0.3, 0.3]))
         params = L2TestParams(L=3, gamma=0.4, delta=0.05)
         rng = np.random.default_rng(1)
-        samples = sample(null, rng, size=max(params.n_req, 4000))
+        samples = rng.choice(null.k, size=max(params.n_req, 4000), p=null.probs)
         assert l2_uniformity_test(samples, params, null=null) == "accept"
-
-
-class TestBiasTest:
-    def test_n_req_formula(self):
-        p = BiasTestParams(p0=0.1, alpha=0.5, delta=0.05)
-        assert p.n_req == math.ceil(12.0 * math.log(40.0) / (0.1 * 0.25))
-
-    def test_decisions(self):
-        params = BiasTestParams(p0=0.2, alpha=0.5, delta=0.05)
-        n = params.n_req
-        rng = np.random.default_rng(2)
-        assert bias_test(rng.random(n) < 0.2, params) == "accept"
-        assert bias_test(rng.random(n) < 0.5, params) == "reject"
-        assert bias_test(np.zeros(n), params) == "reject"
-
-    def test_undersized(self):
-        with pytest.raises(ValueError):
-            bias_test(np.ones(3), BiasTestParams(p0=0.5, alpha=0.5, delta=0.1))
 
 
 class TestLearner:
@@ -91,7 +71,7 @@ class TestLearner:
 
     def test_consistency(self):
         truth = Pmf(k=5, probs=np.array([0.4, 0.25, 0.2, 0.1, 0.05]))
-        xs = sample(truth, np.random.default_rng(3), size=100_000)
+        xs = np.random.default_rng(3).choice(truth.k, size=100_000, p=truth.probs)
         est = learn_empirical(xs, 5)
         assert np.max(np.abs(est.probs - truth.probs)) < 0.01
 
@@ -122,7 +102,7 @@ class TestCentralizedUniformity:
             for _ in range(60)
         )
         ok_far = sum(
-            centralized_uniformity_test(sample(far, rng, size=n), k, eps) == "reject"
+            centralized_uniformity_test(rng.choice(k, size=n, p=far.probs), k, eps) == "reject"
             for _ in range(60)
         )
         assert ok_null >= 40 and ok_far >= 40  # error <= 1/3 with margin
