@@ -17,7 +17,6 @@ __all__ = [
     "Pmf",
     "PaninskiParam",
     "Partition",
-    "SubsetSpec",
     "uniform",
     "paninski",
     "flying_pony",
@@ -88,7 +87,7 @@ class PaninskiParam:
 
 @dataclass(frozen=True)
 class Partition:
-    """A partition of {0,...,k-1} into L parts, as a part-index assignment."""
+    """A partition of {0,...,k-1} into L parts; as a message map, a player holding x sends assign[x]."""
 
     k: int
     L: int
@@ -112,28 +111,6 @@ class Partition:
     def exactly_balanced(self) -> bool:
         counts = np.bincount(self.assign, minlength=self.L)
         return self.k % self.L == 0 and bool(counts.max() == counts.min())
-
-
-@dataclass(frozen=True)
-class SubsetSpec:
-    """A sorted subset of s distinct symbols from {0,...,k-1}."""
-
-    k: int
-    s: int
-    members: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.members, dtype=np.int64)
-        if not (1 <= self.s <= self.k):
-            raise ValueError("need 1 <= s <= k")
-        if m.shape != (self.s,):
-            raise ValueError("members must have length s")
-        if np.any(np.diff(m) <= 0):
-            raise ValueError("members must be strictly increasing")
-        if m[0] < 0 or m[-1] >= self.k:
-            raise ValueError("members out of range")
-        m.setflags(write=False)
-        object.__setattr__(self, "members", m)
 
 
 def uniform(k: int) -> Pmf:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dist import Pmf
 from .simulate import _simulate, batch_players, player_bound
-from .smp import Verdict
+from .smp import Verdict, indicator, play
 from . import testers
 
 __all__ = [
@@ -79,7 +79,7 @@ def simulate_and_infer(
     centralized: Callable[[np.ndarray], Verdict | str | Pmf],
     rng: np.random.Generator,
 ) -> Verdict:
-    """Simulate one sample per block, then run `centralized` on the successes.
+    """Simulate one sample per block, then run `centralized` on the length-k counts of the successes.
 
     The centralized routine may return a Verdict, an {accept, reject} string,
     or a learned Pmf (wrapped as an `estimate` verdict).  An undersized-input
@@ -93,7 +93,7 @@ def simulate_and_infer(
         "players_budget": result.players_budget,
     }
     try:
-        out = centralized(result.samples)
+        out = centralized(np.bincount(result.samples, minlength=p.k))
     except ValueError as exc:
         return Verdict(decision="abort", diagnostics={**diag, "reason": str(exc)})
     if isinstance(out, Verdict):
@@ -119,7 +119,7 @@ def si_uniformity_protocol(
     if B < 1:
         raise ValueError(f"need at least {per_block} players for one block")
     return simulate_and_infer(
-        p, ell, B, lambda samples: testers.centralized_uniformity_test(samples, p.k, eps, c=c), rng
+        p, ell, B, lambda counts: testers.centralized_uniformity_test(counts, eps, c=c), rng
     )
 
 
@@ -136,7 +136,7 @@ def si_learning_protocol(p: Pmf, ell: int, n: int, rng: np.random.Generator) -> 
     B = n // per_block
     if B < 1:
         raise ValueError(f"need at least {per_block} players for one block")
-    return simulate_and_infer(p, ell, B, lambda samples: testers.learn_empirical(samples, p.k), rng)
+    return simulate_and_infer(p, ell, B, testers.learn_empirical, rng)
 
 
 def flying_pony_protocol(p: Pmf, n: int, rng: np.random.Generator) -> Verdict:
@@ -147,8 +147,7 @@ def flying_pony_protocol(p: Pmf, n: int, rng: np.random.Generator) -> Verdict:
     """
     if n < 1:
         raise ValueError("need at least one player")
-    k = p.k
-    count = int(np.sum(rng.random(n) < p.probs[0]))
-    lo, hi = 0.5 * n / k, 1.5 * n / k
+    count = int(play(p, indicator(p.k, 0), n, rng)[1])
+    lo, hi = 0.5 * n / p.k, 1.5 * n / p.k
     decision = "accept_uniform" if lo < count <= hi else "reject"
     return Verdict(decision=decision, diagnostics={"bit_count": count, "n": n, "players_used": n})

@@ -3,15 +3,18 @@
 Two optimal protocols plus a warmup:
 
 * smooth_protocol — m batches; each batch draws a fresh public random balanced
-  partition of [k] into L = 2^ell parts, players send their part index, and the
-  referee collision-tests the flattened samples on [L].
+  partition of [k] into L = min(2^ell, k) parts, players send their part index,
+  and the referee collision-tests the flattened samples on [L].
 * levin_protocol — a work-investment schedule over L = ceil(log2(2/eps))
   scales; scale j runs m_j mini-batches, each drawing a public random subset S
-  of size s = 2^ell - 1.  Players report their sample's position in S (or
+  of size s = min(2^ell - 1, k).  Players report their sample's position in S (or
   all-zeros).  The referee first bias-tests p(S) against s/k, then
   uniformity-tests the conditional samples on S.
 * warmup_protocol — m >= 5/eps batches each bias-testing one public random
   element against 1/k.
+
+Each public-coin draw is the batch's message map, and the referee reads only
+the message counts that `smp.play` draws under it.
 
 Mini-batch thresholds carry a noise floor max(theory margin, z * null sigma) so
 that calibrated (below worst-case size) stages never become null-unsafe; at the
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import Pmf, flatten, uniform
-from .smp import PublicCoins, Verdict
+from .smp import PublicCoins, Verdict, play
 from .testers import C_L2_DEFAULT, L2TestParams, collision_statistic, l2_uniformity_test
 
 __all__ = [
@@ -59,12 +62,9 @@ class SmoothSchedule:
     gamma: float
 
     @classmethod
-    def from_params(
-        cls, k: int, ell: int, eps: float, m: int = 12, c_l2: float = C_L2_DEFAULT
-    ) -> "SmoothSchedule":
-        L = 2**ell
-        if L > k:
-            raise ValueError("need 2^ell <= k")
+    def from_params(cls, k: int, ell: int, eps: float, c_l2: float = C_L2_DEFAULT) -> "SmoothSchedule":
+        """m = 12 batches into L = min(2^ell, k) parts (singletons when 2^ell >= k, as Levin caps s at k)."""
+        m, L = 12, min(2**ell, k)
         gamma = math.sqrt(L) * eps / math.sqrt(k)
         delta = 1.0 / (6 * m)
         N = L2TestParams(L=L, gamma=gamma, delta=delta, c_l2=c_l2).n_req
@@ -82,11 +82,10 @@ def smooth_protocol(
     n: int,
     coins: PublicCoins,
     rng: np.random.Generator,
-    m: int = 12,
     c_l2: float = C_L2_DEFAULT,
 ) -> Verdict:
     """Reject iff any batch's flattened sample fails the l2 uniformity test."""
-    sched = SmoothSchedule.from_params(p.k, ell, eps, m=m, c_l2=c_l2)
+    sched = SmoothSchedule.from_params(p.k, ell, eps, c_l2=c_l2)
     if n < sched.total_players:
         raise ValueError(f"need at least {sched.total_players} players, got {n}")
     N = n // sched.m
@@ -94,10 +93,8 @@ def smooth_protocol(
     rejections = 0
     for _ in range(sched.m):
         part = coins.balanced_partition(p.k, sched.L)
-        samples = rng.choice(p.k, size=N, p=p.probs)
-        flat = part.assign[samples]
         null = None if p.k % sched.L == 0 else flatten(uniform(p.k), part)
-        if l2_uniformity_test(flat, params, null=null) == "reject":
+        if l2_uniformity_test(play(p, part, N, rng), params, null=null) == "reject":
             rejections += 1
     decision = "accept_uniform" if rejections == 0 else "reject"
     return Verdict(
@@ -148,8 +145,7 @@ def warmup_protocol(
     threshold = (1.0 - eps / 4.0) / k
     rejections = 0
     for _ in range(m):
-        x = coins.element(k)
-        hits = int(np.sum(rng.random(n_batch) < p.probs[x]))
+        hits = play(p, coins.element(k), n_batch, rng)[1]
         if hits / n_batch < threshold:
             rejections += 1
     decision = "accept_uniform" if rejections == 0 else "reject"
@@ -321,31 +317,24 @@ def levin_protocol(
         b = math.ceil(scale * sched.b_j[idx]) if s > 1 else 0
         sep = (2.0 ** (1 - j) / 3.0) ** 2 / s  # l2^2 separation of stage 2
         for _ in range(sched.m_j[idx]):
-            S = coins.subset(k, s)
-            pos = np.zeros(k, dtype=np.int64)
-            pos[S.members] = np.arange(1, s + 1)
-            samples = rng.choice(k, size=a + b, p=p.probs)
-            msgs = pos[samples]
+            part = coins.subset(k, s)
             players_used += a + b
             # Stage 1: bias test on p(S) from the first a players.
-            phat = float(np.mean(msgs[:a] > 0))
-            tol = max(
-                sched.eps_j[idx] * p0 / 2.0, z * math.sqrt(p0 * (1.0 - p0) / a)
-            )
+            phat = (a - play(p, part, a, rng)[0]) / a
+            tol = max(sched.eps_j[idx] * p0 / 2.0, z * math.sqrt(p0 * (1.0 - p0) / a))
             if abs(phat - p0) > tol:
                 failures += 1
                 first_failure = first_failure or ("stage1", j)
                 continue
             if s == 1:
                 continue  # conditional distribution on one element is trivially uniform
-            # Stage 2: uniformity of the conditional samples from the rest.
-            cond = msgs[a:]
-            cond = cond[cond > 0] - 1
-            if cond.size < r:
+            # Stage 2: uniformity of the conditional samples of b more players.
+            cond = play(p, part, b, rng)[1:]
+            if cond.sum() < r:
                 failures += 1
                 first_failure = first_failure or ("shortfall", j)
                 continue
-            collisions, pairs = collision_statistic(cond, s)
+            collisions, pairs = collision_statistic(cond)
             rate = collisions / pairs
             margin = max(sep / 2.0, z * math.sqrt((1.0 / s) * (1.0 - 1.0 / s) / pairs))
             if rate > 1.0 / s + margin:

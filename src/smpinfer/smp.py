@@ -5,9 +5,13 @@ sends a single ell-bit message to a referee; the referee decides from the
 messages alone (private-coin mode) or from the messages plus a shared public
 coin record (public-coin mode).
 
+Every referee statistic is a symmetric function of the messages, so referees
+read message counts: a public-coin draw returns its message map as a
+Partition, and `play` draws the message counts of n players under it.
+
 Randomness discipline: everything derives from a master seed.  Each trial owns
 a stream keyed by (master seed, cell, trial); public coins are one shared
-stream whose draws are logged and charged at their encoding length.
+stream whose draws are charged at their encoding length.
 """
 
 from __future__ import annotations
@@ -17,12 +21,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dist import Partition, SubsetSpec
+from .dist import Partition, Pmf, flatten
 
 __all__ = [
     "MessageMap",
     "Verdict",
     "PublicCoins",
+    "indicator",
+    "play",
     "trial_seed_seq",
 ]
 
@@ -86,27 +92,39 @@ class PublicCoins:
         if L > k:
             raise ValueError("need L <= k")
         perm = self._rng.permutation(k)
-        assign = np.empty(k, dtype=np.int64)
-        # Part sizes: k // L each, first (k mod L) parts get one extra.
+        # Part r takes the next sizes[r] symbols of perm; the first k mod L parts get one extra.
         sizes = np.full(L, k // L, dtype=np.int64)
         sizes[: k % L] += 1
-        start = 0
-        for r in range(L):
-            assign[perm[start : start + sizes[r]]] = r
-            start += sizes[r]
+        assign = np.empty(k, dtype=np.int64)
+        assign[perm] = np.repeat(np.arange(L), sizes)
         self.bits_used += k * max(1, math.ceil(math.log2(L)) if L > 1 else 1)
         return Partition(k=k, L=L, assign=assign)
 
-    def subset(self, k: int, s: int) -> SubsetSpec:
-        """Uniformly random s-element subset of [k]."""
+    def subset(self, k: int, s: int) -> Partition:
+        """Uniformly random s-subset S of [k], as the map x -> 1-based position in S, else 0."""
+        if not 1 <= s <= k:
+            raise ValueError("need 1 <= s <= k")
         members = np.sort(self._rng.choice(k, size=s, replace=False))
         self.bits_used += s * max(1, math.ceil(math.log2(k)) if k > 1 else 1)
-        return SubsetSpec(k=k, s=s, members=members)
+        assign = np.zeros(k, dtype=np.int64)
+        assign[members] = np.arange(1, s + 1)
+        return Partition(k=k, L=s + 1, assign=assign)
 
-    def element(self, k: int) -> int:
+    def element(self, k: int) -> Partition:
+        """Uniformly random element x of [k], as the one-bit indicator map of x."""
         x = int(self._rng.integers(k))
         self.bits_used += max(1, math.ceil(math.log2(k)) if k > 1 else 1)
-        return x
+        return indicator(k, x)
+
+
+def indicator(k: int, x: int) -> Partition:
+    """The one-bit message map that sends 1 iff the sample is x."""
+    return Partition(k=k, L=2, assign=np.arange(k) == x)
+
+
+def play(p: Pmf, part: Partition, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Message counts of n i.i.d. players holding samples of p who send part.assign[x]."""
+    return rng.multinomial(n, flatten(p, part).probs)
 
 
 def trial_seed_seq(master_seed: int, cell_index: int, trial_index: int) -> np.random.SeedSequence:

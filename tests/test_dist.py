@@ -11,7 +11,6 @@ from smpinfer.dist import (
     PaninskiParam,
     Partition,
     Pmf,
-    SubsetSpec,
     flatten,
     flying_pony,
     paninski,
@@ -134,10 +133,4 @@ class TestPartitionAndSubset:
         assert Partition(k=4, L=2, assign=np.array([0, 0, 1, 1])).exactly_balanced
         assert Partition(k=5, L=2, assign=np.array([0, 0, 1, 1, 1])).balanced
         assert not Partition(k=4, L=2, assign=np.array([0, 0, 0, 1])).balanced
-
-    def test_subset_validation(self):
-        with pytest.raises(ValueError):
-            SubsetSpec(k=4, s=2, members=np.array([2, 1]))
-        with pytest.raises(ValueError):
-            SubsetSpec(k=4, s=2, members=np.array([1, 4]))
 

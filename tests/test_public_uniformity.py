@@ -35,8 +35,17 @@ class TestSmoothSchedule:
         assert s.total_players == 12 * s.N
 
     def test_requires_L_le_k(self):
-        with pytest.raises(ValueError):
-            SmoothSchedule.from_params(4, 3, 0.3)
+        # 2^ell >= k caps L at k: every symbol is its own part, and the
+        # protocol runs as a collision test on [k].
+        for k, ell in ((4, 3), (10, 4)):
+            sched = SmoothSchedule.from_params(k, ell, 0.3)
+            assert sched.L == k
+            n, far = sched.total_players, far_instance(k, 0.3, seed=2)
+            for t in range(10):
+                v = smooth_protocol(uniform(k), ell, 0.3, n, public_coins(t), np.random.default_rng(t))
+                assert v.decision == "accept_uniform"
+                v = smooth_protocol(far, ell, 0.3, n, public_coins(t), np.random.default_rng(50 + t))
+                assert v.decision == "reject"
 
 
 class TestSmoothProtocol:
@@ -52,19 +61,24 @@ class TestSmoothProtocol:
             ok_far += smooth_protocol(far, ell, eps, n, public_coins(t), rng).decision == "reject"
         assert ok_null >= 15 and ok_far >= 15
 
-    def test_non_divisible_alphabet_uses_induced_null(self):
+    @pytest.mark.parametrize("k, ell", [(10, 2), (12, 3), (20, 3)])
+    def test_non_divisible_alphabet_uses_induced_null(self, k, ell):
         # k not divisible by L: the null is the flattened uniform, so uniform
-        # still passes despite unequal part sizes.
-        k, ell, eps = 10, 2, 0.3
+        # still passes despite unequal part sizes, and far instances fail.
+        eps = 0.3
         n = SmoothSchedule.from_params(k, ell, eps).total_players
-        ok = sum(
-            smooth_protocol(
-                uniform(k), ell, eps, n, public_coins(t), np.random.default_rng(t)
-            ).decision
+        far = far_instance(k, eps, seed=4)
+        ok_null = sum(
+            smooth_protocol(uniform(k), ell, eps, n, public_coins(t), np.random.default_rng(t)).decision
             == "accept_uniform"
-            for t in range(15)
+            for t in range(60)
         )
-        assert ok >= 11
+        ok_far = sum(
+            smooth_protocol(far, ell, eps, n, public_coins(t), np.random.default_rng(1000 + t)).decision
+            == "reject"
+            for t in range(60)
+        )
+        assert ok_null >= 44 and ok_far >= 44
 
     def test_undersized_n(self):
         with pytest.raises(ValueError):
@@ -173,6 +187,18 @@ class TestLevinProtocol:
             for t in range(15)
         )
         assert ok_null >= 12 and ok_far >= 12
+
+    def test_subset_covers_alphabet(self):
+        # 2^ell - 1 >= k caps s at k: stage 1 sees p(S) = 1, and stage 2 is a
+        # collision test on [k].
+        for k, ell in ((4, 3), (10, 4)):
+            assert LevinSchedule.from_params(k, ell, 0.3).s == k
+            far = far_instance(k, 0.3, seed=2)
+            for t in range(5):
+                v = levin_protocol(uniform(k), ell, 0.3, public_coins(t), np.random.default_rng(t))
+                assert v.decision == "accept_uniform"
+                v = levin_protocol(far, ell, 0.3, public_coins(t), np.random.default_rng(50 + t))
+                assert v.decision == "reject"
 
     def test_ell1_path(self):
         k, ell, eps = 16, 1, 0.3

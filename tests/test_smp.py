@@ -1,9 +1,11 @@
-"""SMP primitives: message maps, public coins, seeds, verdicts."""
+"""SMP primitives: message maps, public coins, the one execution path, seeds, verdicts."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from smpinfer.smp import MessageMap, Verdict, public_coins, trial_seed_seq
+from smpinfer.dist import Pmf, flatten
+from smpinfer.smp import MessageMap, Verdict, indicator, play, public_coins, trial_seed_seq
 
 
 class TestMessageMap:
@@ -38,24 +40,98 @@ class TestPublicCoins:
 
     def test_subset_bits(self):
         coins = public_coins(0)
-        S = coins.subset(16, 3)
-        assert S.s == 3 and len(set(S.members.tolist())) == 3
+        part = coins.subset(16, 3)
+        # Members map to their 1-based positions in increasing symbol order.
+        members = np.flatnonzero(part.assign)
+        assert part.L == 4 and members.size == 3
+        assert part.assign[members].tolist() == [1, 2, 3]
         assert coins.bits_used == 3 * 4
+
+    def test_subset_validation(self):
+        with pytest.raises(ValueError):
+            public_coins(0).subset(4, 0)
+        with pytest.raises(ValueError):
+            public_coins(0).subset(4, 5)
 
     def test_element_range(self):
         coins = public_coins(0)
-        assert 0 <= coins.element(7) < 7
+        part = coins.element(7)
+        (x,) = np.flatnonzero(part.assign)
+        assert part.L == 2 and 0 <= x < 7
+        assert np.array_equal(part.assign, indicator(7, x).assign)
         assert coins.bits_used == 3
 
-    def test_same_seed_replays_identically(self):
-        a, b = public_coins(42), public_coins(42)
-        pa = a.balanced_partition(12, 4)
-        pb = b.balanced_partition(12, 4)
-        assert np.array_equal(pa.assign, pb.assign)
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32), st.lists(st.integers(0, 7), max_size=2), st.integers(1, 20))
+    def test_same_seed_replays_identically(self, seed, key, k):
+        # The same (seed, key) replays every draw kind, in order, with the same bits.
+        def draws(coins):
+            maps = [
+                coins.balanced_partition(k, max(1, k // 3)),
+                coins.subset(k, max(1, k // 2)),
+                coins.element(k),
+                coins.subset(k, k),
+            ]
+            return [m.assign.tolist() for m in maps], coins.bits_used
+
+        assert draws(public_coins(seed, *key)) == draws(public_coins(seed, *key))
 
     def test_partition_requires_L_le_k(self):
         with pytest.raises(ValueError):
             public_coins(0).balanced_partition(3, 4)
+
+
+def zero_mass_pmf(rng, k, zeros):
+    probs = np.zeros(k)
+    support = rng.permutation(k)[zeros:]
+    probs[support] = rng.dirichlet(np.ones(k - zeros))
+    return Pmf(k=k, probs=probs)
+
+
+class TestPlay:
+    def test_law_of_message_counts(self):
+        # Seeded law test of the one execution path under every coin draw kind:
+        # 2000 draws of 40 players each.
+        k, n, draws = 12, 40, 2000
+        rng = np.random.default_rng(2024)
+        p = zero_mass_pmf(rng, k, zeros=5)
+        coins = public_coins(5)
+        maps = {
+            "balanced": coins.balanced_partition(k, 4),
+            "subset-3": coins.subset(k, 3),
+            "subset-k": coins.subset(k, k),
+            "element": indicator(k, int(np.flatnonzero(p.probs)[0])),
+            "coin-element": coins.element(k),
+        }
+        for name, part in maps.items():
+            law = flatten(p, part).probs
+            counts = np.array([play(p, part, n, rng) for _ in range(draws)])
+            assert counts.shape == (draws, part.L), name
+            assert np.all(counts.sum(axis=1) == n), name
+            assert np.all(counts[:, law == 0] == 0), name
+            se = np.sqrt(n * law * (1 - law) / draws)
+            assert np.all(np.abs(counts.mean(axis=0) - n * law) <= 4 * se), name
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 16), st.integers(0, 200))
+    def test_mass_invariants(self, seed, k, n):
+        # flatten keeps the mass of every part; play keeps the player count and
+        # never sends a message of zero mass.
+        rng = np.random.default_rng(seed)
+        p = zero_mass_pmf(rng, k, zeros=int(rng.integers(k)))
+        coins = public_coins(seed)
+        for part in (
+            coins.balanced_partition(k, int(rng.integers(1, k + 1))),
+            coins.subset(k, int(rng.integers(1, k + 1))),
+            coins.element(k),
+        ):
+            law = flatten(p, part).probs
+            per_part = [p.probs[part.assign == r].sum() for r in range(part.L)]
+            assert np.allclose(law, per_part, rtol=0, atol=1e-12)
+            assert abs(law.sum() - 1.0) <= 1e-12
+            counts = play(p, part, n, rng)
+            assert counts.sum() == n and np.all(counts >= 0)
+            assert np.all(counts[law == 0] == 0)
 
 
 class TestStreams:

@@ -16,14 +16,18 @@ from smpinfer.testers import (
 )
 
 
+def counts_of(samples, k):
+    return np.bincount(samples, minlength=k)
+
+
 class TestCollisionStatistic:
     def test_hand_computed(self):
-        # [DERIVED: hand computation] [0,0,1]: one colliding pair of three.
-        assert collision_statistic(np.array([0, 0, 1]), 2) == (1, 3)
-        # all equal: C(4,2) collisions.
-        assert collision_statistic(np.array([2, 2, 2, 2]), 3) == (6, 6)
+        # [DERIVED: hand computation] samples [0,0,1]: one colliding pair of three.
+        assert collision_statistic(np.array([2, 1])) == (1, 3)
+        # four equal samples: C(4,2) collisions.
+        assert collision_statistic(np.array([0, 0, 4])) == (6, 6)
         # all distinct: none.
-        assert collision_statistic(np.array([0, 1, 2]), 3) == (0, 3)
+        assert collision_statistic(np.array([1, 1, 1])) == (0, 3)
 
 
 class TestL2Params:
@@ -42,37 +46,38 @@ class TestL2Test:
     def test_undersized_input(self):
         params = L2TestParams(L=4, gamma=0.3, delta=0.1)
         with pytest.raises(ValueError):
-            l2_uniformity_test(np.zeros(3, dtype=int), params)
+            l2_uniformity_test(np.array([3, 0, 0, 0]), params)
 
     def test_accepts_uniform_rejects_point_mass(self):
         params = L2TestParams(L=8, gamma=0.5, delta=0.05)
         rng = np.random.default_rng(0)
         n = params.n_req
-        assert l2_uniformity_test(rng.integers(8, size=n), params) == "accept"
-        assert l2_uniformity_test(np.zeros(n, dtype=int), params) == "reject"
+        assert l2_uniformity_test(rng.multinomial(n, np.full(8, 1 / 8)), params) == "accept"
+        assert l2_uniformity_test(counts_of(np.zeros(n, dtype=int), 8), params) == "reject"
 
     def test_near_uniform_null_shift(self):
-        # A slightly non-uniform null raises the threshold so its own samples pass.
+        # A non-uniform null: its own samples pass, samples gamma/sqrt(L)-far from it do not.
         null = Pmf(k=3, probs=np.array([0.4, 0.3, 0.3]))
         params = L2TestParams(L=3, gamma=0.4, delta=0.05)
         rng = np.random.default_rng(1)
-        samples = rng.choice(null.k, size=max(params.n_req, 4000), p=null.probs)
-        assert l2_uniformity_test(samples, params, null=null) == "accept"
+        n = max(params.n_req, 4000)
+        assert l2_uniformity_test(rng.multinomial(n, null.probs), params, null=null) == "accept"
+        far = np.array([0.1, 0.45, 0.45])  # ||far - null||^2 = 0.135 >= gamma^2/L
+        assert l2_uniformity_test(rng.multinomial(n, far), params, null=null) == "reject"
 
 
 class TestLearner:
     def test_counts(self):
-        p = learn_empirical(np.array([0, 0, 1, 3]), 4)
+        p = learn_empirical(np.array([2, 1, 0, 1]))
         assert np.allclose(p.probs, [0.5, 0.25, 0.0, 0.25])
 
     def test_empty(self):
         with pytest.raises(ValueError):
-            learn_empirical(np.array([], dtype=int), 4)
+            learn_empirical(np.zeros(4, dtype=int))
 
     def test_consistency(self):
         truth = Pmf(k=5, probs=np.array([0.4, 0.25, 0.2, 0.1, 0.05]))
-        xs = np.random.default_rng(3).choice(truth.k, size=100_000, p=truth.probs)
-        est = learn_empirical(xs, 5)
+        est = learn_empirical(np.random.default_rng(3).multinomial(100_000, truth.probs))
         assert np.max(np.abs(est.probs - truth.probs)) < 0.01
 
 
@@ -82,15 +87,15 @@ class TestCentralizedUniformity:
 
     def test_undersized(self):
         with pytest.raises(ValueError):
-            centralized_uniformity_test(np.zeros(3, dtype=int), 16, 0.3)
+            centralized_uniformity_test(counts_of(np.zeros(3, dtype=int), 16), 0.3)
 
     def test_k2_reduces_to_bias(self):
         rng = np.random.default_rng(4)
         n = centralized_n_req(2, 0.3)
-        fair = rng.integers(2, size=max(n, 2000))
-        skew = (rng.random(max(n, 2000)) < 0.1).astype(int)
-        assert centralized_uniformity_test(fair, 2, 0.3) == "accept"
-        assert centralized_uniformity_test(skew, 2, 0.3) == "reject"
+        fair = rng.multinomial(max(n, 2000), [0.5, 0.5])
+        skew = rng.multinomial(max(n, 2000), [0.9, 0.1])
+        assert centralized_uniformity_test(fair, 0.3) == "accept"
+        assert centralized_uniformity_test(skew, 0.3) == "reject"
 
     def test_collision_branch_error_rates(self):
         k, eps = 16, 0.3
@@ -98,11 +103,11 @@ class TestCentralizedUniformity:
         n = centralized_n_req(k, eps)
         far = paninski(PaninskiParam(k=k, eps=eps, theta=np.resize([1, -1], k // 2)))
         ok_null = sum(
-            centralized_uniformity_test(rng.integers(k, size=n), k, eps) == "accept"
+            centralized_uniformity_test(rng.multinomial(n, uniform(k).probs), eps) == "accept"
             for _ in range(60)
         )
         ok_far = sum(
-            centralized_uniformity_test(rng.choice(k, size=n, p=far.probs), k, eps) == "reject"
+            centralized_uniformity_test(rng.multinomial(n, far.probs), eps) == "reject"
             for _ in range(60)
         )
         assert ok_null >= 40 and ok_far >= 40  # error <= 1/3 with margin
