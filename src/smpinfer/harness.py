@@ -168,8 +168,9 @@ def _levin_players(k, ell, eps, constants):
 
 
 def _run_levin(p, ell, eps, n, rng, coins, constants):
-    # n resizes every mini-batch in proportion to the schedule's total.
-    scale = n / _levin_players(p.k, ell, eps, constants)
+    # n resizes every mini-batch in proportion to the schedule's total (none at k = 1).
+    total = _levin_players(p.k, ell, eps, constants)
+    scale = n / total if total else 1.0
     return pu.levin_protocol(p, ell, eps, coins, rng, constants=_levin_constants(constants), scale=scale)
 
 

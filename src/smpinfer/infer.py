@@ -1,10 +1,18 @@
 """Private-coin simulate-and-infer pipelines and the flying-pony 1-bit protocol.
 
 Simulate-and-infer: partition the players into B blocks, let each block run the
-distributed simulation scheme with a fixed player budget (2x the scheme's
-expected-player bound, so each block succeeds with probability at least 1/2 by
-Markov), and run a centralized routine on the simulated samples.  Choosing
-B = 4*psi + 9 blocks yields at least psi samples with probability >= 14/15.
+distributed simulation scheme with a fixed player budget of T batches (2x the
+scheme's expected-player bound, so each block succeeds with probability at
+least 1/2 by Markov), and run a centralized routine on the counts of the
+simulated samples.  Choosing B = 4*psi + 9 blocks yields at least psi samples
+with probability >= 14/15.
+
+The blocks are drawn at count level, never player by player.  The scheme's
+batches are i.i.d., each declares with probability `simulate.flip_rho`, and a
+declared symbol is distributed as p independently of the batch index.  So a
+block's first declaring batch is G ~ Geometric(rho), the block succeeds iff
+G <= T and uses min(G, T) batches, and the successes' counts are
+Multinomial(successes, p).
 """
 
 from __future__ import annotations
@@ -15,8 +23,8 @@ from typing import Callable
 
 import numpy as np
 
-from .dist import Pmf
-from .simulate import _simulate, batch_players, player_bound
+from .dist import Pmf, split_duplicate
+from .simulate import batch_players, flip_rho, player_bound
 from .smp import Verdict, indicator, play
 from . import testers
 
@@ -37,7 +45,7 @@ FLYING_PONY_C = 40
 
 @dataclass(frozen=True)
 class BlockSimResult:
-    samples: np.ndarray  # simulated symbols (one per successful block)
+    counts: np.ndarray  # length-k counts of the simulated symbols (one per successful block)
     successes: int
     blocks: int
     players_used: int
@@ -57,17 +65,18 @@ def blocks_for_psi(psi: int) -> int:
 
 
 def run_block_simulations(p: Pmf, ell: int, B: int, rng: np.random.Generator) -> BlockSimResult:
-    """Run B independent budgeted block simulations, vectorized across blocks."""
+    """Run B independent budgeted block simulations at count level."""
     if B < 1:
         raise ValueError("need at least one block")
     per_block_players, budget_batches = block_budget_players(p.k, ell)
-    symbols, batches = _simulate(p, ell, B, budget_batches, rng)
-    good = symbols >= 0
+    q = split_duplicate(p)
+    first = rng.geometric(flip_rho(np.add.reduceat(q.probs, np.arange(0, q.k, 2**ell - 1))), size=B)
+    successes = int(np.count_nonzero(first <= budget_batches))
     return BlockSimResult(
-        samples=symbols[good],
-        successes=int(good.sum()),
+        counts=rng.multinomial(successes, p.probs),
+        successes=successes,
         blocks=B,
-        players_used=int(batches.sum()) * batch_players(p.k, ell),
+        players_used=int(np.minimum(first, budget_batches).sum()) * batch_players(p.k, ell),
         players_budget=B * per_block_players,
     )
 
@@ -93,7 +102,7 @@ def simulate_and_infer(
         "players_budget": result.players_budget,
     }
     try:
-        out = centralized(np.bincount(result.samples, minlength=p.k))
+        out = centralized(result.counts)
     except ValueError as exc:
         return Verdict(decision="abort", diagnostics={**diag, "reason": str(exc)})
     if isinstance(out, Verdict):

@@ -8,8 +8,9 @@ Two optimal protocols plus a warmup:
 * levin_protocol — a work-investment schedule over L = ceil(log2(2/eps))
   scales; scale j runs m_j mini-batches, each drawing a public random subset S
   of size s = min(2^ell - 1, k).  Players report their sample's position in S (or
-  all-zeros).  The referee first bias-tests p(S) against s/k, then
-  uniformity-tests the conditional samples on S.
+  all-zeros).  The referee first bias-tests p(S) against s/k (skipped when
+  s = k, where p(S) = 1 is certain), then uniformity-tests the conditional
+  samples on S.
 * warmup_protocol — m >= 5/eps batches each bias-testing one public random
   element against 1/k.
 
@@ -199,7 +200,8 @@ class LevinSchedule:
     mini-batches at failure budget delta_j = 1/(10 (L+5-j)^2 m_j), and
     n_j = a_j + b_j players per mini-batch, where a_j players feed the p(S)
     bias test and b_j players feed the conditional uniformity test (which
-    requires r_j conditional samples).
+    requires r_j conditional samples).  When s = k the bias test's outcome
+    is certain, so a_j = 0.
     """
 
     k: int
@@ -230,7 +232,7 @@ class LevinSchedule:
             m_j = max(1, math.ceil(constants.c_m * w / (2**j * eps)))
             delta_j = 1.0 / (10.0 * w * m_j)
             log_d = math.log(1.0 / delta_j)
-            a_j = max(4, math.ceil(constants.c1 * k / (s * eps_j**2) * log_d))
+            a_j = max(4, math.ceil(constants.c1 * k / (s * eps_j**2) * log_d)) if s < k else 0
             if s > 1:
                 r_j = max(4, math.ceil(constants.c3 * math.sqrt(s) / eps_j**2 * log_d))
                 b_j = math.ceil(constants.c2 * (k / s) * log_d) * r_j
@@ -312,7 +314,7 @@ def levin_protocol(
     first_failure = None
     for j in range(1, sched.L + 1):
         idx = j - 1
-        a = max(4, math.ceil(scale * sched.a_j[idx]))
+        a = max(4, math.ceil(scale * sched.a_j[idx])) if sched.a_j[idx] else 0
         r = max(4, math.ceil(scale * sched.r_j[idx])) if s > 1 else 0
         b = math.ceil(scale * sched.b_j[idx]) if s > 1 else 0
         sep = (2.0 ** (1 - j) / 3.0) ** 2 / s  # l2^2 separation of stage 2
@@ -320,12 +322,13 @@ def levin_protocol(
             part = coins.subset(k, s)
             players_used += a + b
             # Stage 1: bias test on p(S) from the first a players.
-            phat = (a - play(p, part, a, rng)[0]) / a
-            tol = max(sched.eps_j[idx] * p0 / 2.0, z * math.sqrt(p0 * (1.0 - p0) / a))
-            if abs(phat - p0) > tol:
-                failures += 1
-                first_failure = first_failure or ("stage1", j)
-                continue
+            if a:
+                phat = (a - play(p, part, a, rng)[0]) / a
+                tol = max(sched.eps_j[idx] * p0 / 2.0, z * math.sqrt(p0 * (1.0 - p0) / a))
+                if abs(phat - p0) > tol:
+                    failures += 1
+                    first_failure = first_failure or ("stage1", j)
+                    continue
             if s == 1:
                 continue  # conditional distribution on one element is trivially uniform
             # Stage 2: uniformity of the conditional samples of b more players.

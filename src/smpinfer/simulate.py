@@ -10,7 +10,9 @@ with probability 1/2 and declares a symbol only when exactly one primary
 message survives nonzero and that block's secondary message is zero.
 Conditioned on declaring, the symbol is distributed exactly as q (hence, after
 merging duplicate pairs, exactly as p); otherwise the batch aborts and a fresh
-batch of players runs.
+batch of players runs.  A batch declares with probability `flip_rho` of q's
+block masses, independently of the symbol it declares, so the index of the
+first declaring batch is geometric and independent of the declared symbol.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ __all__ = [
     "PLAYER_CAP",
     "contiguous_blocks",
     "rho",
+    "flip_rho",
     "simulate_many",
     "player_bound",
     "batch_players",
@@ -59,12 +62,30 @@ def player_bound(k: int, ell: int) -> float:
     return 20.0 * -(-k // s)
 
 
+def _block_masses(block_probs) -> np.ndarray:
+    """Validated block masses, with float dust above 1 clipped."""
+    b = np.asarray(block_probs, dtype=np.float64)
+    if np.any(b < 0) or b.sum() > 1 + 1e-9:
+        raise ValueError("block masses must lie in [0,1] and sum to at most 1")
+    return np.minimum(b, 1.0)
+
+
 def rho(block_probs) -> float:
     """Per-batch declaration probability of the no-flip scheme: prod_j (1 - p(S_j))."""
-    b = np.asarray(block_probs, dtype=np.float64)
-    if np.any(b < 0) or np.any(b > 1) or b.sum() > 1 + 1e-9:
-        raise ValueError("block masses must lie in [0,1] and sum to at most 1")
-    return float(np.prod(1.0 - b))
+    return float(np.prod(1.0 - _block_masses(block_probs)))
+
+
+def flip_rho(block_probs) -> float:
+    """Per-batch declaration probability of the flip scheme: (sum_j b_j / 2) prod_j (1 - b_j/2).
+
+    Block j's primary survives nonzero with probability b_j/2 and its
+    secondary is zero with probability 1 - b_j/2, so exactly one primary
+    survives with its secondary zero with this probability.  For the block
+    masses b of split_duplicate(p), sum_j b_j = 1 and this is
+    (1/2) prod_j (1 - b_j/2), which lies in [1/4, 1/2].
+    """
+    b = _block_masses(block_probs)
+    return float(0.5 * b.sum() * np.prod(1.0 - 0.5 * b))
 
 
 def batch_players(k: int, ell: int) -> int:
@@ -103,29 +124,6 @@ def _run_batches(
     return declared, symbols
 
 
-def _simulate(
-    p: Pmf, ell: int, count: int, max_batches: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run batches for `count` samples until each declares or has run max_batches batches.
-
-    Returns (symbols, batches): the declared symbol of each sample, -1 where
-    none was declared, and the batches each sample ran.
-    """
-    q = split_duplicate(p)
-    s = 2**ell - 1
-    symbols = np.full(count, -1, dtype=np.int64)
-    batches = np.zeros(count, dtype=np.int64)
-    active = np.arange(count)
-    for _ in range(max_batches):
-        if not active.size:
-            break
-        declared, syms = _run_batches(q.probs, s, active.size, rng)
-        batches[active] += 1
-        symbols[active[declared]] = syms[declared] // 2  # merge duplicate pairs back to [k]
-        active = active[~declared]
-    return symbols, batches
-
-
 def simulate_many(
     p: Pmf,
     ell: int,
@@ -133,9 +131,20 @@ def simulate_many(
     rng: np.random.Generator,
     player_cap: int = PLAYER_CAP,
 ) -> list[SimOutcome]:
-    """Simulate `count` i.i.d. samples from p, batching across samples per round."""
+    """Simulate `count` i.i.d. samples from p player by player, batching across samples per round."""
     players = batch_players(p.k, ell)
-    symbols, batches = _simulate(p, ell, count, player_cap // players, rng)
+    q = split_duplicate(p)
+    s = 2**ell - 1
+    symbols = np.full(count, -1, dtype=np.int64)
+    batches = np.zeros(count, dtype=np.int64)
+    active = np.arange(count)
+    for _ in range(player_cap // players):
+        if not active.size:
+            break
+        declared, syms = _run_batches(q.probs, s, active.size, rng)
+        batches[active] += 1
+        symbols[active[declared]] = syms[declared] // 2  # merge duplicate pairs back to [k]
+        active = active[~declared]
     undeclared = int(np.sum(symbols < 0))
     if undeclared:
         raise PlayerCapExceeded(f"{undeclared} sample(s) still undeclared after {player_cap} players each")

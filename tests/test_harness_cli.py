@@ -253,6 +253,12 @@ class TestCli:
         row = json.loads(capsys.readouterr().out)
         assert row["n"] == row["players_used"] == warmup_players(8, 0.4)
 
+    def test_levin_one_symbol_needs_no_players(self, capsys):
+        # k = 1: s = k skips stage 1 and s = 1 skips stage 2, so the schedule is empty.
+        assert main(["test-uniformity", "--k", "1", "--ell", "1", "--eps", "0.3", "--protocol", "levin"]) == 0
+        row = json.loads(capsys.readouterr().out)
+        assert row["n"] == row["players_used"] == 0 and row["decision"] == "accept_uniform"
+
     @pytest.mark.parametrize("protocol", TESTERS)
     def test_cli_default_n_matches_harness(self, protocol, capsys):
         cell = {"k": 8, "ell": 2, "eps": 0.4}

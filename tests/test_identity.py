@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from smpinfer.dist import Pmf, tv, uniform
 from smpinfer.identity import (
@@ -37,11 +38,13 @@ class TestBuildMap:
         gmap = build_map(q)
         assert gmap.alloc.tolist() == [3, 7] and gmap.slack == 0
 
-    def test_generic_q_has_slack(self):
+    def test_uniform_q_has_no_slack(self):
         q = Pmf(k=3, probs=np.array([1 / 3, 1 / 3, 1 / 3]))
         gmap = build_map(q)
         assert gmap.slack == 15 - 3 * 5  # 1/3 of 15 buckets each
         assert gmap.slack == 0
+
+    def test_generic_q_has_slack(self):
         q2 = Pmf(k=3, probs=np.array([0.305, 0.305, 0.39]))
         gmap2 = build_map(q2)
         assert gmap2.slack > 0
@@ -74,6 +77,59 @@ class TestMapPmf:
         p = Pmf(k=2, probs=np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
             map_pmf(gmap, p)
+
+
+def random_pmf(k, seed, zero_frac=0.3):
+    """A Dirichlet pmf over [k] with about zero_frac of its masses set to zero."""
+    rng = np.random.default_rng(seed)
+    probs = rng.dirichlet(np.ones(k)) * (rng.random(k) >= zero_frac)
+    if probs.sum() == 0:
+        probs[rng.integers(k)] = 1.0
+    return Pmf(k=k, probs=probs / probs.sum())
+
+
+class TestMapPmfProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 10_000), st.integers(0, 10_000))
+    def test_conserves_mass_with_slack(self, k, q_seed, p_seed):
+        # Symbol x keeps the fraction alloc_x / (5k q_x) of p_x on its own
+        # buckets; the rest, and all of p_x where q_x = 0, lands on the slack.
+        q, p = random_pmf(k, q_seed), random_pmf(k, p_seed)
+        gmap = build_map(q)
+        assume(gmap.slack > 0)
+        mapped = map_pmf(gmap, p).probs
+        kept = np.divide(gmap.alloc, gmap.m * q.probs, out=np.zeros(k), where=q.probs > 0)
+        for x in range(k):
+            own = mapped[gmap.start[x] : gmap.start[x] + gmap.alloc[x]]
+            assert own.sum() == pytest.approx(p.probs[x] * kept[x], abs=1e-12)
+        assert mapped[gmap.slack_start :].sum() == pytest.approx(float(p.probs @ (1.0 - kept)), abs=1e-12)
+        assert mapped.min() >= 0.0 and mapped.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 10_000))
+    def test_reference_maps_to_uniform(self, k, seed):
+        # [PAPER] F_q(q) = u_{5k}, with or without zero masses and slack.
+        q = random_pmf(k, seed)
+        gmap = build_map(q)
+        assert np.max(np.abs(map_pmf(gmap, q).probs - 1.0 / gmap.m)) < 1e-12
+
+    def test_zero_masses_own_no_buckets(self):
+        q = Pmf(k=4, probs=np.array([0.5, 0.0, 0.33, 0.17]))
+        gmap = build_map(q)
+        assert gmap.alloc[1] == 0 and gmap.slack > 0
+        # All of p's mass on q's zero-mass symbol goes to the slack buckets.
+        mapped = map_pmf(gmap, Pmf(k=4, probs=np.array([0.0, 1.0, 0.0, 0.0]))).probs
+        assert np.all(mapped[: gmap.slack_start] == 0)
+        assert np.allclose(mapped[gmap.slack_start :], 1.0 / gmap.slack, rtol=0, atol=1e-15)
+
+    def test_no_slack_with_p_on_support(self):
+        # slack = 0 is not degenerate while p stays on q's support: each owned
+        # bucket of x gets p_x / alloc_x.
+        q = Pmf(k=3, probs=np.array([0.4, 0.0, 0.6]))
+        gmap = build_map(q)
+        assert gmap.slack == 0 and gmap.alloc.tolist() == [6, 0, 9]
+        mapped = map_pmf(gmap, Pmf(k=3, probs=np.array([0.5, 0.0, 0.5]))).probs
+        assert np.allclose(mapped, np.r_[np.full(6, 0.5 / 6), np.full(9, 0.5 / 9)], rtol=0, atol=1e-15)
 
 
 class TestMapSample:

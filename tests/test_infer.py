@@ -18,7 +18,7 @@ from smpinfer.infer import (
     si_uniformity_protocol,
     simulate_and_infer,
 )
-from smpinfer.simulate import contiguous_blocks, player_bound
+from smpinfer.simulate import batch_players, contiguous_blocks, player_bound, simulate_many
 from smpinfer.smp import Verdict
 
 
@@ -41,13 +41,88 @@ class TestBudgets:
         assert si_uniformity_players(k, ell, eps) == (4 * psi + 9) * per
 
 
+# Each two-sample comparison is a chi-square homogeneity test at level 1e-4,
+# fixed before the first run; Z_ALPHA is the standard normal upper 1e-4 quantile.
+Z_ALPHA = 3.719
+
+
+def _homogeneous(x, y) -> bool:
+    """Whether count vectors x and y pass a chi-square homogeneity test at level 1e-4.
+
+    Adjacent categories are pooled until each holds at least 10 observations;
+    the critical value is the Wilson-Hilferty chi-square quantile.
+    """
+    cols, cur = [], np.zeros(2)
+    for pair in zip(x, y):
+        cur = cur + pair
+        if cur.sum() >= 10:
+            cols.append(cur)
+            cur = np.zeros(2)
+    if cols:
+        cols[-1] = cols[-1] + cur
+    table = np.array(cols, dtype=np.float64).T
+    df = table.shape[1] - 1
+    if df < 1:
+        return True
+    expected = table.sum(axis=1, keepdims=True) * table.sum(axis=0) / table.sum()
+    stat = float(np.sum((table - expected) ** 2 / expected))
+    h = 2.0 / (9.0 * df)
+    return stat <= df * (1.0 - h + Z_ALPHA * np.sqrt(h)) ** 3
+
+
+class TestCountPathMatchesPlayerLoop:
+    """run_block_simulations draws blocks at count level; simulate_many runs the scheme player by player.
+
+    One block per call exposes a block's batches used (players_used over
+    batch_players), its success and its symbol.  The player loop's block is a
+    sample run to declaration: it succeeds iff its batches fit the budget T,
+    and uses min(batches, T) of them.
+    """
+
+    @pytest.mark.parametrize(
+        "probs, ell",
+        [
+            ([0.3, 0.0, 0.2, 0.1, 0.0, 0.4], 2),  # zero masses; 2k = 12 in blocks of 3
+            ([0.1, 0.05, 0.15, 0.2, 0.1, 0.05, 0.1, 0.05, 0.1, 0.1], 2),  # short last block
+            ([0.2, 0.1, 0.1, 0.2, 0.1, 0.1, 0.2], 3),  # two blocks of 7, T binds often
+            ([0.5, 0.0, 0.5], 3),  # 2^ell - 1 >= 2k: one block, rho = 1/4
+        ],
+    )
+    def test_two_sample(self, probs, ell):
+        p = Pmf(k=len(probs), probs=np.array(probs))
+        _, T = block_budget_players(p.k, ell)
+        per_batch = batch_players(p.k, ell)
+        n = 3000
+        rng = np.random.default_rng(2024)
+        count_batches = np.zeros(T + 1, dtype=np.int64)
+        count_success = np.zeros(2, dtype=np.int64)
+        count_symbols = np.zeros(p.k, dtype=np.int64)
+        for _ in range(n):
+            res = run_block_simulations(p, ell, 1, rng)
+            count_batches[res.players_used // per_batch] += 1
+            count_success[res.successes] += 1
+            count_symbols += res.counts
+        loop = simulate_many(p, ell, n, np.random.default_rng(4202))
+        used = np.array([o.batches_used for o in loop])
+        ok = used <= T
+        loop_batches = np.bincount(np.minimum(used, T), minlength=T + 1)
+        loop_success = np.bincount(ok.astype(np.int64), minlength=2)
+        loop_symbols = np.bincount(np.array([o.symbol for o in loop])[ok], minlength=p.k)
+        assert count_batches[0] == loop_batches[0] == 0
+        zero = p.probs == 0
+        assert not count_symbols[zero].any() and not loop_symbols[zero].any()
+        assert _homogeneous(count_success, loop_success)
+        assert _homogeneous(count_batches[1:], loop_batches[1:])
+        assert _homogeneous(count_symbols[~zero], loop_symbols[~zero])
+
+
 class TestBlockSimulations:
     def test_budget_and_success_counts(self):
         res = run_block_simulations(uniform(8), 2, 200, np.random.default_rng(0))
         assert res.blocks == 200
-        assert res.successes == res.samples.size
+        assert res.counts.shape == (8,) and res.counts.sum() == res.successes
         assert res.players_used <= res.players_budget
-        assert np.all((res.samples >= 0) & (res.samples < 8))
+        assert res.players_used % batch_players(8, 2) == 0
         # Per-block success probability >= 1/2 by Markov; expect well above 100.
         assert res.successes >= 100
 

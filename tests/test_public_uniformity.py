@@ -189,16 +189,23 @@ class TestLevinProtocol:
         assert ok_null >= 12 and ok_far >= 12
 
     def test_subset_covers_alphabet(self):
-        # 2^ell - 1 >= k caps s at k: stage 1 sees p(S) = 1, and stage 2 is a
-        # collision test on [k].
+        # 2^ell - 1 >= k caps s at k: p(S) = 1 is certain, so stage 1 is
+        # skipped and spends no players, and stage 2 is a collision test on [k].
         for k, ell in ((4, 3), (10, 4)):
-            assert LevinSchedule.from_params(k, ell, 0.3).s == k
+            sched = LevinSchedule.from_params(k, ell, 0.3)
+            assert sched.s == k and set(sched.a_j) == {0}
+            assert sched.total_players == sum(m * b for m, b in zip(sched.m_j, sched.b_j))
             far = far_instance(k, 0.3, seed=2)
-            for t in range(5):
+            ok_null = ok_far = 0
+            for t in range(15):
                 v = levin_protocol(uniform(k), ell, 0.3, public_coins(t), np.random.default_rng(t))
-                assert v.decision == "accept_uniform"
+                assert v.diagnostics["players_used"] == sched.total_players
+                ok_null += v.decision == "accept_uniform"
                 v = levin_protocol(far, ell, 0.3, public_coins(t), np.random.default_rng(50 + t))
-                assert v.decision == "reject"
+                first = v.diagnostics["first_failure"]
+                assert first is None or first[0] == "stage2"
+                ok_far += v.decision == "reject"
+            assert ok_null >= 10 and ok_far >= 10
 
     def test_ell1_path(self):
         k, ell, eps = 16, 1, 0.3

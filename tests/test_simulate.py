@@ -11,6 +11,7 @@ from smpinfer.simulate import (
     _run_batches,
     batch_players,
     contiguous_blocks,
+    flip_rho,
     player_bound,
     rho,
     simulate_many,
@@ -70,6 +71,50 @@ class TestRho:
             b = rng.dirichlet(np.ones(6))
             norm = float(np.sqrt(np.sum(b**2)))
             assert rho(b) >= (1.0 - norm) * np.exp(norm - 1.0) - 1e-12
+
+
+def _flip_rho_against_enumeration(probs, ell):
+    q = split_duplicate(Pmf(k=len(probs), probs=np.array(probs)))
+    blocks = contiguous_blocks(q.k, 2**ell - 1)
+    closed = flip_rho([q.probs[b].sum() for b in blocks])
+    success, _ = batch_law_enumeration(q.probs, blocks, flip=True)
+    assert closed == pytest.approx(success, abs=1e-12)
+    assert 0.25 - 1e-12 <= closed <= 0.5
+    return closed
+
+
+class TestFlipRho:
+    @pytest.mark.parametrize(
+        "probs, ell",
+        [
+            ([0.5, 0.5], 1),  # blocks of one symbol
+            ([0.4, 0.0, 0.6], 2),  # zero mass; 2k = 6 is two full blocks
+            ([0.1, 0.2, 0.3, 0.4], 2),  # 2k = 8 cuts into 3 + 3 + 2
+            ([0.2, 0.0, 0.5, 0.3, 0.0], 2),  # zero masses; 3 + 3 + 3 + 1
+            ([0.25, 0.25, 0.25, 0.25], 3),  # 2k = 8 cuts into 7 + 1
+        ],
+    )
+    def test_matches_enumeration(self, probs, ell):
+        # [DERIVED: enumeration] P[batch declares] = (1/2) prod_j (1 - q(S_j)/2).
+        _flip_rho_against_enumeration(probs, ell)
+
+    @pytest.mark.parametrize("probs", [[0.5, 0.0, 0.5], [0.2, 0.3, 0.5], [1.0, 0.0, 0.0]])
+    def test_one_block_covers_alphabet(self, probs):
+        # 2^ell - 1 = 7 >= 2k = 6: one block of mass 1, so rho = 1/4 exactly.
+        assert _flip_rho_against_enumeration(probs, 3) == pytest.approx(0.25, abs=1e-15)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 10_000))
+    def test_matches_enumeration_random(self, k, ell, seed):
+        rng = np.random.default_rng(seed)
+        probs = rng.dirichlet(np.ones(k)) * (rng.random(k) < 0.7)
+        if probs.sum() == 0:
+            probs[0] = 1.0
+        _flip_rho_against_enumeration(probs / probs.sum(), ell)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            flip_rho([0.7, 0.7])
 
 
 class TestBatchLaw:
@@ -139,7 +184,7 @@ class TestSimulateMany:
         assert abs(batches.mean() - 4.0) <= 3 * batches.std() / np.sqrt(batches.size)
         res = run_block_simulations(p, 3, 500, np.random.default_rng(7))
         assert res.players_used <= res.players_budget
-        assert set(res.samples.tolist()) <= {0, 2}
+        assert res.counts.sum() == res.successes and res.counts[1] == 0
 
     def test_point_mass(self):
         # [TRIVIAL] a point mass is always simulated to its only symbol.
