@@ -168,10 +168,7 @@ def _levin_players(k, ell, eps, constants):
 
 
 def _run_levin(p, ell, eps, n, rng, coins, constants):
-    # n resizes every mini-batch in proportion to the schedule's total (none at k = 1).
-    total = _levin_players(p.k, ell, eps, constants)
-    scale = n / total if total else 1.0
-    return pu.levin_protocol(p, ell, eps, coins, rng, constants=_levin_constants(constants), scale=scale)
+    return pu.levin_protocol(p, ell, eps, coins, rng, constants=_levin_constants(constants), n=n)
 
 
 def _warmup_c(constants: dict | None) -> float:

@@ -298,15 +298,17 @@ def levin_protocol(
     coins: PublicCoins,
     rng: np.random.Generator,
     constants: LevinConstants = DEFAULT_LEVIN_CONSTANTS,
-    scale: float = 1.0,
+    n: int | None = None,
 ) -> Verdict:
     """Run the full Levin schedule; accept iff every mini-batch passes both stages.
 
-    `scale` proportionally resizes every mini-batch's player counts (used by
-    the scaling harness to probe the success-vs-players tradeoff); the
-    mini-batch structure itself is unchanged.
+    A given `n` resizes every mini-batch's player counts by n / total_players
+    of the schedule (none when the schedule has no players), so the scaling
+    harness can probe the success-vs-players tradeoff; the mini-batch
+    structure itself is unchanged.  The default runs the schedule as is.
     """
     sched = LevinSchedule.from_params(p.k, ell, eps, constants)
+    scale = n / sched.total_players if n is not None and sched.total_players else 1.0
     k, s, z = p.k, sched.s, constants.z
     p0 = s / k
     players_used = 0

@@ -13,11 +13,17 @@ merging duplicate pairs, exactly as p); otherwise the batch aborts and a fresh
 batch of players runs.  A batch declares with probability `flip_rho` of q's
 block masses, independently of the symbol it declares, so the index of the
 first declaring batch is geometric and independent of the declared symbol.
+
+`simulate_many` runs this scheme player by player: every player draws its own
+uniform, message and flip.  A player's message is nonzero iff its inverse-CDF
+sample lies in its block, which depends on the uniform only through the
+block's CDF interval, so that is the test each player makes; a sample is
+resolved to its symbol only when its batch declares.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +48,7 @@ class PlayerCapExceeded(RuntimeError):
     """A Las Vegas run consumed the hard player cap without declaring a sample."""
 
 
-@dataclass(frozen=True)
-class SimOutcome:
+class SimOutcome(NamedTuple):
     symbol: int
     players_used: int
     batches_used: int
@@ -104,23 +109,29 @@ def _run_batches(
     """Run T independent batches; return (declared flags, declared symbols).
 
     The blocks are s contiguous symbols each: symbol x lies in block x // s at
-    1-based position x % s + 1.  Each batch uses batch_players players.
+    1-based position x % s + 1.  Each batch uses batch_players players, and
+    each player draws one uniform u whose inverse-CDF image is its sample.  The
+    sample lies in the player's block j iff lo_j <= u < hi_j, with hi_j the CDF
+    at the block's last symbol and lo_j = hi_{j-1} (lo_0 = 0), so whether the
+    message is nonzero is read off u directly.  Only a declaring batch's
+    winning sample is resolved to its symbol.
     """
     m = -(-probs.size // s)
     cdf = np.cumsum(probs)
     cdf[-1] = 1.0
-    # samples[t, 0, j] is the primary player of block j in batch t.
-    samples = np.searchsorted(cdf, rng.random((T, 2, m)), side="right")
-    msgs = np.where(samples // s == np.arange(m), samples % s + 1, 0)
+    hi = cdf[np.minimum(np.arange(1, m + 1) * s, probs.size) - 1]
+    lo = np.concatenate(([0.0], hi[:-1]))
+    # u[t, 0, j] is the primary player of block j in batch t.
+    u = rng.random((T, 2, m))
+    nonzero = (u >= lo) & (u < hi)
     # Referee flips each nonzero message to zero with probability 1/2.
-    msgs[(msgs > 0) & (rng.random((T, 2, m)) < 0.5)] = 0
-    primary = msgs[:, 0, :]
-    nonzero = primary > 0
-    counts = nonzero.sum(axis=1)
-    winner = np.argmax(nonzero, axis=1)
-    sec_zero = msgs[np.arange(T), 1, winner] == 0
-    declared = (counts == 1) & sec_zero
-    symbols = np.where(declared, winner * s + primary[np.arange(T), winner] - 1, -1)
+    nonzero &= rng.random((T, 2, m)) >= 0.5
+    counts = nonzero[:, 0, :].sum(axis=1)
+    winner = np.argmax(nonzero[:, 0, :], axis=1)
+    rows = np.arange(T)
+    declared = (counts == 1) & ~nonzero[rows, 1, winner]
+    symbols = np.full(T, -1, dtype=np.int64)
+    symbols[declared] = np.searchsorted(cdf, u[rows[declared], 0, winner[declared]], side="right")
     return declared, symbols
 
 
@@ -149,6 +160,6 @@ def simulate_many(
     if undeclared:
         raise PlayerCapExceeded(f"{undeclared} sample(s) still undeclared after {player_cap} players each")
     return [
-        SimOutcome(symbol=sym, players_used=b * players, batches_used=b)
+        SimOutcome(sym, b * players, b)
         for sym, b in zip(symbols.tolist(), batches.tolist())
     ]

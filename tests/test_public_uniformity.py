@@ -215,9 +215,10 @@ class TestLevinProtocol:
 
     def test_scale_shrinks_players(self):
         k, ell, eps = 16, 2, 0.3
+        half = LevinSchedule.from_params(k, ell, eps).total_players // 2
         v1 = levin_protocol(uniform(k), ell, eps, public_coins(1), np.random.default_rng(1))
         v2 = levin_protocol(
-            uniform(k), ell, eps, public_coins(1), np.random.default_rng(1), scale=0.5
+            uniform(k), ell, eps, public_coins(1), np.random.default_rng(1), n=half
         )
         assert v2.diagnostics["players_used"] < v1.diagnostics["players_used"]
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from smpinfer import simulate
 from smpinfer.dist import Pmf, split_duplicate, uniform
 from smpinfer.infer import run_block_simulations
 from smpinfer.simulate import (
@@ -135,6 +136,68 @@ class TestBatchLaw:
         declared, symbols = _run_batches(q.probs, 3, 200, np.random.default_rng(0))
         assert declared.any() and np.all((symbols[declared] >= 0) & (symbols[declared] < q.k))
         assert not declared.all() and np.all(symbols[~declared] == -1)
+
+
+def _full_search_batches(probs, s, T, rng):
+    """Reference batch: every player's full sample by inverse CDF, then its message."""
+    m = -(-probs.size // s)
+    cdf = np.cumsum(probs)
+    cdf[-1] = 1.0
+    samples = np.searchsorted(cdf, rng.random((T, 2, m)), side="right")
+    msgs = np.where(samples // s == np.arange(m), samples % s + 1, 0)
+    msgs[(msgs > 0) & (rng.random((T, 2, m)) < 0.5)] = 0
+    primary = msgs[:, 0, :]
+    nonzero = primary > 0
+    counts = nonzero.sum(axis=1)
+    winner = np.argmax(nonzero, axis=1)
+    sec_zero = msgs[np.arange(T), 1, winner] == 0
+    declared = (counts == 1) & sec_zero
+    symbols = np.where(declared, winner * s + primary[np.arange(T), winner] - 1, -1)
+    return declared, symbols
+
+
+def _assert_batches_match_reference(probs, ell, seed, T=300):
+    q = split_duplicate(Pmf(k=len(probs), probs=np.asarray(probs, dtype=float)))
+    s = 2**ell - 1
+    declared, symbols = _run_batches(q.probs, s, T, np.random.default_rng(seed))
+    ref_declared, ref_symbols = _full_search_batches(q.probs, s, T, np.random.default_rng(seed))
+    assert np.array_equal(declared, ref_declared)
+    assert np.array_equal(symbols, ref_symbols)
+
+
+class TestBatchOracle:
+    """_run_batches reads each player's block from its CDF interval; the reference searches the full CDF."""
+
+    @pytest.mark.parametrize(
+        "probs, ell",
+        [
+            ([0.0, 1.0, 0.0], 2),  # point mass
+            ([0.1, 0.2, 0.3, 0.4], 2),  # 2k = 8 cuts into 3 + 3 + 2: short last block
+            ([0.5, 0.0, 0.5], 3),  # 2^ell - 1 = 7 >= 2k = 6: one block
+            ([0.1] * 10 + [0.0, 0.0], 2),  # trailing zeros; cumsum dust puts cdf[19..22] above 1.0
+            ([0.1] * 10 + [0.0, 0.0], 1),
+            ([0.2, 0.0, 0.5, 0.3, 0.0], 2),  # interior and trailing zero masses
+        ],
+    )
+    def test_fixed_cells(self, probs, ell):
+        for seed in range(5):
+            _assert_batches_match_reference(probs, ell, seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 6), st.integers(0, 10_000))
+    def test_random_cells(self, k, ell, seed):
+        rng = np.random.default_rng(seed)
+        probs = rng.dirichlet(np.ones(k)) * (rng.random(k) < 0.6)
+        if probs.sum() == 0:
+            probs[rng.integers(k)] = 1.0
+        _assert_batches_match_reference(probs / probs.sum(), ell, seed, T=64)
+
+    @pytest.mark.parametrize("k, ell", [(33, 1), (33, 2), (12, 3), (5, 6)])
+    def test_simulate_many_outcomes(self, k, ell, monkeypatch):
+        p = Pmf(k=k, probs=np.random.default_rng(k).dirichlet(np.ones(k)))
+        fast = simulate_many(p, ell, 200, np.random.default_rng(ell))
+        monkeypatch.setattr(simulate, "_run_batches", _full_search_batches)
+        assert simulate_many(p, ell, 200, np.random.default_rng(ell)) == fast
 
 
 class TestSimulateMany:
