@@ -13,9 +13,9 @@ import sys
 import numpy as np
 
 from . import harness, identity, infer, testers, verify
-from .dist import Pmf, uniform
+from .dist import Partition, Pmf, uniform
 from .simulate import contiguous_blocks, rho, simulate_many
-from .smp import MessageMap, PublicCoins, trial_seed_seq
+from .smp import PublicCoins, trial_seed_seq
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 2
@@ -183,8 +183,8 @@ def _suite_chi2(rng) -> list[dict]:
     return rows
 
 
-def _random_det_map(k, ell, rng) -> MessageMap:
-    return MessageMap.deterministic_map(k, ell, rng.integers(2**ell, size=k))
+def _random_det_map(k, ell, rng) -> Partition:
+    return Partition(k, 2**ell, rng.integers(2**ell, size=k))
 
 
 def _suite_hmatrix(rng) -> list[dict]:
@@ -193,7 +193,7 @@ def _suite_hmatrix(rng) -> list[dict]:
         W = _random_det_map(k, ell, rng)
         H = verify.h_matrix(W)
         # Independent recomputation straight from the definition.
-        msg_of = np.argmax(W.rows, axis=1)
+        msg_of = W.assign
         half = k // 2
         ref = np.zeros((half, half))
         for i1 in range(half):

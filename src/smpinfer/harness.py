@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass, asdict
 from typing import Callable
 
@@ -113,6 +114,12 @@ class Cell:
     n: int | None = None
 
     def __post_init__(self):
+        for name in ("k", "ell", "n"):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+                raise ValueError(f"{name} must be an integer")
+        if self.eps is not None and not isinstance(self.eps, numbers.Real):
+            raise ValueError("eps must be a real number")
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.ell < 1:

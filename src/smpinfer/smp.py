@@ -5,9 +5,11 @@ sends a single ell-bit message to a referee; the referee decides from the
 messages alone (private-coin mode) or from the messages plus a shared public
 coin record (public-coin mode).
 
-Every referee statistic is a symmetric function of the messages, so referees
-read message counts: a public-coin draw returns its message map as a
-Partition, and `play` draws the message counts of n players under it.
+A message map is a `dist.Partition`: a deterministic ell-bit map is
+Partition(k, 2**ell, assign), a player holding x sends assign[x], and parts
+may be empty.  Every referee statistic is a symmetric function of the
+messages, so referees read message counts: a public-coin draw returns its
+message map, and `play` draws the message counts of n players under it.
 
 Randomness discipline: everything derives from a master seed.  Each trial owns
 a stream keyed by (master seed, cell, trial); public coins are one shared
@@ -24,7 +26,6 @@ import numpy as np
 from .dist import Partition, Pmf, flatten
 
 __all__ = [
-    "MessageMap",
     "Verdict",
     "PublicCoins",
     "indicator",
@@ -36,42 +37,6 @@ __all__ = [
 # these values, so they never change.
 _NS_PUBLIC = 0
 _NS_TRIAL = 3
-
-
-@dataclass(frozen=True)
-class MessageMap:
-    """A (possibly randomized) channel from symbols to ell-bit messages.
-
-    rows[x] is the distribution of the message sent on observing symbol x.
-    """
-
-    k: int
-    ell: int
-    rows: np.ndarray
-
-    def __post_init__(self):
-        M = 2**self.ell
-        rows = np.asarray(self.rows, dtype=np.float64)
-        if rows.shape != (self.k, M):
-            raise ValueError(f"rows must have shape ({self.k}, {M})")
-        if np.any(rows < 0) or np.any(np.abs(rows.sum(axis=1) - 1.0) > 1e-9):
-            raise ValueError("each row must be a probability vector")
-        rows.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
-
-    @property
-    def deterministic(self) -> bool:
-        return bool(np.all(np.max(self.rows, axis=1) == 1.0))
-
-    @classmethod
-    def deterministic_map(cls, k: int, ell: int, symbol_to_msg) -> "MessageMap":
-        M = 2**ell
-        rows = np.zeros((k, M))
-        msgs = np.asarray(symbol_to_msg, dtype=np.int64)
-        if msgs.shape != (k,) or msgs.min() < 0 or msgs.max() >= M:
-            raise ValueError("symbol_to_msg must map [k] into ell-bit messages")
-        rows[np.arange(k), msgs] = 1.0
-        return cls(k=k, ell=ell, rows=rows)
 
 
 @dataclass

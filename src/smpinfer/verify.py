@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import Pmf, Partition, paninski, PaninskiParam, uniform
-from .smp import MessageMap
 
 __all__ = [
     "Deviation",
@@ -174,20 +173,18 @@ def chi2_mixture_identity_check(P_rows, Q_rows_by_z, z_weights) -> tuple[float, 
     return lhs, rhs, abs(lhs - rhs)
 
 
-def h_matrix(W: MessageMap) -> HMatrix:
-    """The pair-difference correlation matrix of a deterministic message map.
+def h_matrix(W: Partition) -> HMatrix:
+    """The pair-difference correlation matrix of a message map.
 
     Entry (i1, i2) = sum_m d_{i1,m} d_{i2,m} / D_m where d_{i,m} is the
     difference of the indicator rows of the pair (2i, 2i+1) at message m and
     D_m counts the symbols mapping to m; messages with D_m = 0 contribute 0.
     """
-    if not W.deterministic:
-        raise ValueError("h_matrix requires a deterministic message map")
     if W.k % 2 != 0:
         raise ValueError("alphabet size must be even")
     half = W.k // 2
-    msg_of = np.argmax(W.rows, axis=1)
-    M = 2**W.ell
+    msg_of = W.assign
+    M = W.L
     H = np.zeros((half, half))
     for m in range(M):
         hits = msg_of == m
@@ -221,7 +218,7 @@ def subgaussian_claim_check(H: HMatrix, lam: float) -> tuple[float, float]:
 
 
 def paninski_message_tv_bound(
-    W_list: list[MessageMap],
+    W_list: list[Partition],
     eps: float,
     rng: np.random.Generator | None = None,
     theta_trials: int = 200,
@@ -236,9 +233,9 @@ def paninski_message_tv_bound(
     if n > 12:
         raise ValueError("too many players to enumerate bit vectors")
     k = W_list[0].k
-    if any(W.ell != 1 for W in W_list):
+    if any(W.L != 2 for W in W_list):
         raise ValueError("this bound is for 1-bit maps")
-    ones = np.stack([W.rows[:, 1] for W in W_list])  # (n, k): P(bit=1 | symbol)
+    ones = np.stack([W.assign == 1 for W in W_list]).astype(np.float64)  # (n, k): bit of each symbol
     u = uniform(k).probs
 
     def tv_sq(theta: np.ndarray) -> float:

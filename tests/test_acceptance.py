@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from smpinfer.dist import (
+    Partition,
     Pmf,
     paninski,
     PaninskiParam,
@@ -25,7 +26,6 @@ from smpinfer.identity import build_map, map_pmf, map_sample
 from smpinfer.infer import si_uniformity_players, si_uniformity_protocol
 from smpinfer.public_uniformity import LevinSchedule, levin_threshold
 from smpinfer.simulate import contiguous_blocks, player_bound, rho, simulate_many
-from smpinfer.smp import MessageMap
 from smpinfer.verify import (
     Deviation,
     balanced_assignments,
@@ -254,14 +254,14 @@ def test_criterion_11_lower_bound_oracles():
         assert diff <= 1e-9
     # sub-Gaussian claim by enumeration, half_k <= 6.
     for _ in range(20):
-        W = MessageMap.deterministic_map(12, 2, rng.integers(4, size=12))
+        W = Partition(12, 4, rng.integers(4, size=12))
         H = h_matrix(W)
         for lam in (0.1, 1.0, 3.0):
             log_mgf, bound = subgaussian_claim_check(H, lam)
             assert log_mgf <= bound + 1e-12
     # 1-bit paired-perturbation TV^2 bound by enumeration, n <= 12.
     for n in (4, 6):
-        W_list = [MessageMap.deterministic_map(8, 1, rng.integers(2, size=8)) for _ in range(n)]
+        W_list = [Partition(8, 2, rng.integers(2, size=8)) for _ in range(n)]
         mean_tv_sq, bound = paninski_message_tv_bound(W_list, 0.25)
         assert mean_tv_sq <= bound + 1e-12
     print("[CRITERION 11] chi2 identity, sub-Gaussian, and TV^2 oracles all hold")
@@ -273,7 +273,7 @@ def test_criterion_11_lower_bound_oracles():
     worst = 0.0
     for _ in range(50):
         for ell in (1, 2):
-            W = MessageMap.deterministic_map(16, ell, rng.integers(2**ell, size=16))
+            W = Partition(16, 2**ell, rng.integers(2**ell, size=16))
             worst = max(worst, frobenius_sq(h_matrix(W)) / 2**ell)
             assert frobenius_sq(h_matrix(W)) <= 2**ell + 1e-12, (
                 "claimed Frobenius constant 2^ell refuted by enumeration: "

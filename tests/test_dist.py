@@ -134,3 +134,10 @@ class TestPartitionAndSubset:
         assert Partition(k=5, L=2, assign=np.array([0, 0, 1, 1, 1])).balanced
         assert not Partition(k=4, L=2, assign=np.array([0, 0, 0, 1])).balanced
 
+    def test_assign_must_map_into_parts(self):
+        with pytest.raises(ValueError, match=r"part indices must lie in \[0, L\)"):
+            Partition(k=2, L=2, assign=[0, 2])
+        with pytest.raises(ValueError, match=r"part indices must lie in \[0, L\)"):
+            Partition(k=2, L=2, assign=[-1, 0])
+        with pytest.raises(ValueError, match="assign must have length k"):
+            Partition(k=3, L=2, assign=[0, 1])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smpinfer.cli import main
+from smpinfer.cli import _SUITES, main
 from smpinfer.dist import tv, uniform, Pmf
 from smpinfer.harness import (
     CalibrationFailure,
@@ -62,12 +62,23 @@ class TestCell:
             Cell(k=4, ell=1, n=0)
         with pytest.raises(ValueError):
             Cell.from_dict({"k": 4, "ell": 1, "players": 10})
+        with pytest.raises(ValueError, match="k must be an integer"):
+            Cell(k=16.0, ell=2, eps=0.3)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            Cell(k=16, ell=2, eps=0.3, n=1000.5)
+        with pytest.raises(ValueError, match="ell must be an integer"):
+            Cell(k=16, ell=True)
+        with pytest.raises(ValueError, match="eps must be a real number"):
+            Cell(k=16, ell=2, eps="0.3")
 
+    # Non-integers (integral floats such as 16.0 included) and bools are
+    # rejected like out-of-range values.
+    NOT_INTEGER = st.floats() | st.booleans()
     OUT_OF_RANGE = {
-        "k": st.integers(max_value=0),
-        "ell": st.integers(max_value=0),
-        "eps": st.floats(max_value=0.0) | st.floats(min_value=1.0),
-        "n": st.integers(max_value=0),
+        "k": st.integers(max_value=0) | NOT_INTEGER,
+        "ell": st.integers(max_value=0) | NOT_INTEGER,
+        "eps": st.floats(max_value=0.0) | st.floats(min_value=1.0) | st.booleans() | st.just("0.3"),
+        "n": st.integers(max_value=0) | NOT_INTEGER,
     }
 
     @settings(max_examples=200, deadline=None)
@@ -205,9 +216,11 @@ class TestScaling:
 
 
 class TestCli:
-    def test_verify_ok(self, capsys):
-        assert main(["verify", "--suite", "chi2", "--seed", "1"]) == 0
+    @pytest.mark.parametrize("suite", [*_SUITES, "all"])
+    def test_verify_ok(self, suite, capsys):
+        assert main(["verify", "--suite", suite, "--seed", "1"]) == 0
         rows = json.loads(capsys.readouterr().out)
+        assert {r["suite"] for r in rows} == (set(_SUITES) if suite == "all" else {suite})
         assert all(r["ok"] for r in rows)
 
     def test_simulate_json(self, capsys):
@@ -233,15 +246,19 @@ class TestCli:
             ["--eps", "1.5"],
             ["--eps", "0"],
             ["--n", "0"],
-            {"k": 8, "ell": 2, "eps": 0.4, "n": 0},  # experiment grid cells
-            {"k": 8, "ell": 2, "eps": 0.4, "players": 10},
+            ("smooth", {"k": 8, "ell": 2, "eps": 0.4, "n": 0}),  # experiment grid cells
+            ("smooth", {"k": 8, "ell": 2, "eps": 0.4, "players": 10}),
+            ("flying-pony", {"k": 16.0, "ell": 2, "eps": 0.3}),
+            ("flying-pony", {"k": 16, "ell": 2, "eps": 0.3, "n": 1000.5}),
         ],
-        ids=["undersized-n", "ell-0", "eps-1.5", "eps-0", "n-0", "experiment-n-0", "experiment-unknown-key"],
+        ids=["undersized-n", "ell-0", "eps-1.5", "eps-0", "n-0", "experiment-n-0", "experiment-unknown-key",
+             "experiment-float-k", "experiment-fractional-n"],
     )
     def test_bad_value_is_exit_3(self, case, tmp_path, capsys):
-        if isinstance(case, dict):
+        if isinstance(case, tuple):
+            protocol, cell = case
             path = tmp_path / "cfg.json"
-            path.write_text(json.dumps({"protocol": "smooth", "grid": [case], "trials": 1}))
+            path.write_text(json.dumps({"protocol": protocol, "grid": [cell], "trials": 1}))
             argv = ["experiment", "--config", str(path)]
         else:
             argv = ["test-uniformity", "--k", "64", "--ell", "2", "--eps", "0.4", "--protocol", "smooth", *case]

@@ -1,34 +1,11 @@
-"""SMP primitives: message maps, public coins, the one execution path, seeds, verdicts."""
+"""SMP primitives: public coins, the one execution path, seeds, verdicts."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from smpinfer.dist import Pmf, flatten
-from smpinfer.smp import MessageMap, Verdict, indicator, play, public_coins, trial_seed_seq
-
-
-class TestMessageMap:
-    def test_deterministic_map(self):
-        m = MessageMap.deterministic_map(4, 2, [0, 1, 2, 3])
-        assert m.deterministic
-        assert np.array_equal(m.rows, np.eye(4))
-
-    def test_rows_must_be_stochastic(self):
-        with pytest.raises(ValueError):
-            MessageMap(k=2, ell=1, rows=np.array([[0.5, 0.6], [1.0, 0.0]]))
-        with pytest.raises(ValueError):
-            MessageMap(k=2, ell=1, rows=np.array([[1.0, 0.0]]))
-
-    def test_randomized_row(self):
-        rows = np.array([[0.5, 0.5], [1.0, 0.0]])
-        m = MessageMap(k=2, ell=1, rows=rows)
-        assert not m.deterministic
-        assert np.array_equal(m.rows, rows) and not m.rows.flags.writeable
-
-    def test_out_of_range_symbol_map(self):
-        with pytest.raises(ValueError):
-            MessageMap.deterministic_map(2, 1, [0, 2])
+from smpinfer.smp import Verdict, indicator, play, public_coins, trial_seed_seq
 
 
 class TestPublicCoins:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smpinfer.dist import Partition, Pmf, paninski, PaninskiParam, tv, uniform
-from smpinfer.smp import MessageMap
+from smpinfer.smp import indicator, public_coins
 from smpinfer.verify import (
     Deviation,
     HMatrix,
@@ -116,13 +116,13 @@ class TestHMatrix:
     def test_pairwise_identical_map_gives_zero(self):
         # [DERIVED: hand computation] symbols {0,1}->0, {2,3}->1: both members of
         # each pair map identically, so H = 0.
-        W = MessageMap.deterministic_map(4, 1, [0, 0, 1, 1])
+        W = Partition(4, 2, [0, 0, 1, 1])
         assert np.all(h_matrix(W).entries == 0.0)
 
     def test_singleton_map_example(self):
         # [DERIVED: hand computation] symbol 0 -> 1, rest -> 0 (k=4, ell=1):
         # H_00 = 1 + 1/3 = 4/3, all other entries 0; ||H||_F^2 = 16/9.
-        W = MessageMap.deterministic_map(4, 1, [1, 0, 0, 0])
+        W = Partition(4, 2, [1, 0, 0, 0])
         H = h_matrix(W)
         expected = np.zeros((2, 2))
         expected[0, 0] = 4.0 / 3.0
@@ -134,22 +134,25 @@ class TestHMatrix:
         # counterexample below); the provable constant is 2^(ell+1): expanding
         # ||H||_F^2 over message pairs, the diagonal terms count *split* pairs,
         # which the 2^ell accounting misses.  The bound 2^(ell+1) is tight.
+        # The bound also holds on the maps the protocols draw: smooth's balanced
+        # partitions and Levin's subset maps, both with 2^ell parts.
         rng = np.random.default_rng(4)
+        coins = public_coins(4)
         for _ in range(40):
             for ell in (1, 2):
-                W = MessageMap.deterministic_map(8, ell, rng.integers(2**ell, size=8))
-                assert frobenius_sq(h_matrix(W)) <= 2 ** (ell + 1) + 1e-12
+                maps = (
+                    Partition(8, 2**ell, rng.integers(2**ell, size=8)),
+                    coins.balanced_partition(8, 2**ell),
+                    coins.subset(8, 2**ell - 1),
+                )
+                for W in maps:
+                    assert frobenius_sq(h_matrix(W)) <= 2 ** (ell + 1) + 1e-12
 
     def test_frobenius_claimed_constant_counterexample(self):
         # [DERIVED: hand computation] every pair split identically across the
         # two messages: H = [[1,1],[1,1]], ||H||_F^2 = 4 = 2^(ell+1) > 2^ell.
-        W = MessageMap.deterministic_map(4, 1, [1, 0, 1, 0])
+        W = Partition(4, 2, [1, 0, 1, 0])
         assert frobenius_sq(h_matrix(W)) == pytest.approx(4.0, abs=1e-12)
-
-    def test_requires_deterministic(self):
-        W = MessageMap(k=2, ell=1, rows=np.array([[0.5, 0.5], [1.0, 0.0]]))
-        with pytest.raises(ValueError):
-            h_matrix(W)
 
 
 class TestSubgaussian:
@@ -174,19 +177,31 @@ class TestSubgaussian:
 
 class TestPaninskiTv:
     def test_eps_zero(self):
-        W = [MessageMap.deterministic_map(4, 1, [1, 0, 1, 0]) for _ in range(3)]
+        W = [Partition(4, 2, [1, 0, 1, 0]) for _ in range(3)]
         mean_tv_sq, bound = paninski_message_tv_bound(W, 0.0)
         assert mean_tv_sq == pytest.approx(0.0, abs=1e-15) and bound == 0.0
 
     def test_threshold_strategies(self):
         # n=4 threshold maps on k=4 at eps=0.25.
-        W = [MessageMap.deterministic_map(4, 1, [1, 1, 0, 0]) for _ in range(4)]
+        W = [Partition(4, 2, [1, 1, 0, 0]) for _ in range(4)]
         mean_tv_sq, bound = paninski_message_tv_bound(W, 0.25)
         assert bound == pytest.approx(0.25)
         assert mean_tv_sq <= bound + 1e-12
+        # The protocols' own 1-bit maps on k=8: public random elements, warmup's
+        # (one public element per batch of players) and flying-pony's (the
+        # indicator of symbol 0).
+        coins = public_coins(6)
+        elements = [coins.element(8) for _ in range(6)]
+        for n in range(1, 7):
+            warmup = [elements[i // 2] for i in range(n)]
+            for W in (elements[:n], warmup, [indicator(8, 0)] * n):
+                for eps in (0.1, 0.25, 0.5):
+                    mean_tv_sq, bound = paninski_message_tv_bound(W, eps)
+                    assert bound == pytest.approx(4 * eps**2 * n / 8)
+                    assert mean_tv_sq <= bound + 1e-12
 
     def test_too_many_players(self):
-        W = [MessageMap.deterministic_map(4, 1, [1, 0, 0, 0])] * 13
+        W = [Partition(4, 2, [1, 0, 0, 0])] * 13
         with pytest.raises(ValueError):
             paninski_message_tv_bound(W, 0.1)
 
