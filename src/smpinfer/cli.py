@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from . import harness, identity, infer, testers, verify
+from . import harness, identity, infer, verify
 from .dist import Partition, Pmf, uniform
 from .simulate import contiguous_blocks, rho, simulate_many
 from .smp import PublicCoins, trial_seed_seq
@@ -95,15 +95,11 @@ def cmd_infer(args) -> int:
     rng = np.random.default_rng(trial_seed_seq(args.seed, 0, 0))
     if args.task == "uniformity":
         proto = harness.PROTOCOLS["private-si"]
-        n = proto.n_for(cell)
-        verdict = proto.run(p, cell.ell, cell.eps, n, rng, None, None)
+        n = proto.n_for(cell, proto.default)
+        verdict = proto.run(p, cell.ell, cell.eps, n, rng, None, proto.default)
     else:
-        n = args.n
-        if n is None:
-            psi = testers.centralized_n_req(p.k, args.eps, c=3.0 * p.k / max(1.0, np.sqrt(p.k)))
-            per, _ = infer.block_budget_players(p.k, args.ell)
-            n = infer.blocks_for_psi(psi) * per
-        verdict = infer.si_learning_protocol(p, args.ell, n, rng)
+        n = cell.n if cell.n is not None else infer.si_learning_players(p.k, cell.ell, cell.eps)
+        verdict = infer.si_learning_protocol(p, cell.ell, n, rng)
     row = {"task": args.task, "n": n, "decision": verdict.decision, **verdict.diagnostics}
     _emit(row, args.out, args.format)
     return EXIT_OK
@@ -119,8 +115,8 @@ def cmd_test_uniformity(args) -> int:
     cell = harness.Cell(p.k, args.ell, args.eps, args.n)
     rng, coins = _rng_and_coins(args.seed)
     proto = harness.PROTOCOLS[args.protocol]
-    n = proto.n_for(cell)
-    verdict = proto.run(p, cell.ell, cell.eps, n, rng, coins, None)
+    n = proto.n_for(cell, proto.default)
+    verdict = proto.run(p, cell.ell, cell.eps, n, rng, coins, proto.default)
     row = {"protocol": args.protocol, "n": n, "decision": verdict.decision, **verdict.diagnostics}
     _emit(row, args.out, args.format)
     return EXIT_OK
@@ -135,8 +131,8 @@ def cmd_test_identity(args) -> int:
     proto = harness.PROTOCOLS[args.protocol]
 
     def protocol(mapped, ell, eps, rng, coins):
-        n = proto.n_for(dataclasses.replace(cell, k=mapped.k, eps=eps))
-        return proto.run(mapped, ell, eps, n, rng, coins, None)
+        n = proto.n_for(dataclasses.replace(cell, k=mapped.k, eps=eps), proto.default)
+        return proto.run(mapped, ell, eps, n, rng, coins, proto.default)
 
     verdict = identity.identity_test_via_uniformity(
         p, q, cell.ell, cell.eps, protocol, {"rng": rng, "coins": coins}

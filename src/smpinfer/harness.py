@@ -71,6 +71,12 @@ def make_instance(spec: dict, k: int, eps: float, rng: np.random.Generator) -> t
     name = spec.get("name", "uniform")
     if name == "uniform":
         return uniform(k), "accept_uniform"
+    if name == "pmf_file":
+        with open(spec["path"]) as fh:
+            p = Pmf.from_json(fh.read())
+        if p.k != k:
+            raise ValueError(f"pmf_file {spec['path']!r} has k={p.k}, but the cell has k={k}")
+        return p, spec.get("expected", "reject")
     theta_kind = spec.get("theta", "random")
     if theta_kind == "alternating":
         theta = np.resize([1, -1], k // 2)
@@ -88,16 +94,17 @@ def make_instance(spec: dict, k: int, eps: float, rng: np.random.Generator) -> t
         return paninski(PaninskiParam(k=k, eps=eps, theta=theta)), "reject"
     if name == "flying_pony":
         return flying_pony(k, theta), "reject"
-    if name == "pmf_file":
-        with open(spec["path"]) as fh:
-            p = Pmf.from_json(fh.read())
-        return p, spec.get("expected", "reject")
     raise KeyError(f"unknown instance {name!r}")
 
 
 # ---------------------------------------------------------------------------
 # Cells and the protocol registry
 # ---------------------------------------------------------------------------
+
+
+def _check_integer(name: str, value) -> None:
+    if value is not None and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+        raise ValueError(f"{name} must be an integer")
 
 
 @dataclass(frozen=True)
@@ -115,9 +122,7 @@ class Cell:
 
     def __post_init__(self):
         for name in ("k", "ell", "n"):
-            value = getattr(self, name)
-            if value is not None and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
-                raise ValueError(f"{name} must be an integer")
+            _check_integer(name, getattr(self, name))
         if self.eps is not None and not isinstance(self.eps, numbers.Real):
             raise ValueError("eps must be a real number")
         if self.k < 1:
@@ -143,50 +148,31 @@ class Cell:
 
 @dataclass(frozen=True)
 class Protocol:
-    """A registered protocol.
+    """A registered protocol and its one tunable constant c: `key`'s value in a
+    constants block, else `default` (None for a protocol without a constant).
 
-    default_n(k, ell, eps, constants) is the player count of a cell without n
-    (None for a protocol that takes no n); run(p, ell, eps, n, rng, coins,
-    constants) plays one trial and returns the referee's verdict; ladder is
-    (constants key, candidate values smallest first) for `calibrate`.
+    default_n(k, ell, eps, c) is the player count of a cell without n (None for
+    a protocol that takes no n); run(p, ell, eps, n, rng, coins, c) plays one
+    trial and returns the referee's verdict; ladder holds calibrate's candidate
+    values of c, smallest first.
     """
 
-    default_n: Callable[[int, int, float, dict | None], int | None]
+    default_n: Callable[[int, int, float, float | None], int | None]
     run: Callable[..., Verdict]
-    ladder: tuple[str, tuple[float, ...]] | None = None
+    key: str | None = None
+    default: float | None = None
+    ladder: tuple[float, ...] = ()
 
-    def n_for(self, cell: Cell, constants: dict | None = None) -> int | None:
-        """The cell's n if given, else this protocol's default."""
-        return cell.n if cell.n is not None else self.default_n(cell.k, cell.ell, cell.eps, constants)
+    def constant(self, constants: dict | None) -> float | None:
+        """This protocol's constant in a (validated) constants block, else its default."""
+        return (constants or {}).get(self.key, self.default)
 
-
-def _c_l2(constants: dict | None) -> float:
-    return (constants or {}).get("c_l2", testers.C_L2_DEFAULT)
-
-
-def _levin_constants(constants: dict | None) -> pu.LevinConstants:
-    if constants and "levin" in constants:
-        return pu.LevinConstants.from_dict(constants["levin"])
-    return pu.DEFAULT_LEVIN_CONSTANTS
+    def n_for(self, cell: Cell, c: float | None) -> int | None:
+        """The cell's n if given, else this protocol's default at constant c."""
+        return cell.n if cell.n is not None else self.default_n(cell.k, cell.ell, cell.eps, c)
 
 
-def _levin_players(k, ell, eps, constants):
-    return pu.LevinSchedule.from_params(k, ell, eps, _levin_constants(constants)).total_players
-
-
-def _run_levin(p, ell, eps, n, rng, coins, constants):
-    return pu.levin_protocol(p, ell, eps, coins, rng, constants=_levin_constants(constants), n=n)
-
-
-def _warmup_c(constants: dict | None) -> float:
-    return (constants or {}).get("warmup_c", pu.WARMUP_C)
-
-
-def _si_c(constants: dict | None) -> float:
-    return (constants or {}).get("c_uniformity", testers.C_UNIFORMITY_DEFAULT)
-
-
-def _run_simulate(p, ell, eps, n, rng, coins, constants):
+def _run_simulate(p, ell, eps, n, rng, coins, c):
     out = simulate_many(p, ell, 1, rng)[0]
     return Verdict(
         decision="symbol",
@@ -195,7 +181,7 @@ def _run_simulate(p, ell, eps, n, rng, coins, constants):
     )
 
 
-def _run_dummy_const(p, ell, eps, n, rng, coins, constants):
+def _run_dummy_const(p, ell, eps, n, rng, coins, c):
     # Control protocol for the scaling report.
     expect = "accept_uniform" if float(np.max(p.probs) - np.min(p.probs)) < 1e-12 else "reject"
     wrong = "reject" if expect == "accept_uniform" else "accept_uniform"
@@ -204,20 +190,24 @@ def _run_dummy_const(p, ell, eps, n, rng, coins, constants):
 
 PROTOCOLS = {
     "smooth": Protocol(
-        lambda k, ell, eps, c: pu.SmoothSchedule.from_params(k, ell, eps, c_l2=_c_l2(c)).total_players,
-        lambda p, ell, eps, n, rng, coins, c: pu.smooth_protocol(p, ell, eps, n, coins, rng, c_l2=_c_l2(c)),
-        ("c_l2", tuple(1.0 * 1.5**i for i in range(8))),
+        lambda k, ell, eps, c: pu.SmoothSchedule.from_params(k, ell, eps, c_l2=c).total_players,
+        lambda p, ell, eps, n, rng, coins, c: pu.smooth_protocol(p, ell, eps, n, coins, rng, c_l2=c),
+        "c_l2", testers.C_L2_DEFAULT, tuple(1.0 * 1.5**i for i in range(8)),
     ),
-    "levin": Protocol(_levin_players, _run_levin, ("levin_scale", tuple(0.25 * 1.4**i for i in range(10)))),
+    "levin": Protocol(
+        lambda k, ell, eps, c: pu.LevinSchedule.from_params(k, ell, eps, c).total_players,
+        lambda p, ell, eps, n, rng, coins, c: pu.levin_protocol(p, ell, eps, coins, rng, c=c, n=n),
+        "levin_scale", 1.0, tuple(0.25 * 1.4**i for i in range(10)),
+    ),
     "warmup": Protocol(
-        lambda k, ell, eps, c: pu.warmup_players(k, eps, _warmup_c(c)),
-        lambda p, ell, eps, n, rng, coins, c: pu.warmup_protocol(p, eps, n, coins, rng, c=_warmup_c(c)),
-        ("warmup_c", tuple(2.0 * 1.5**i for i in range(8))),
+        lambda k, ell, eps, c: pu.warmup_players(k, eps, c),
+        lambda p, ell, eps, n, rng, coins, c: pu.warmup_protocol(p, eps, n, coins, rng, c=c),
+        "warmup_c", pu.WARMUP_C, tuple(2.0 * 1.5**i for i in range(8)),
     ),
     "private-si": Protocol(
-        lambda k, ell, eps, c: infer.si_uniformity_players(k, ell, eps, c=_si_c(c)),
-        lambda p, ell, eps, n, rng, coins, c: infer.si_uniformity_protocol(p, ell, eps, n, rng, c=_si_c(c)),
-        ("c_uniformity", tuple(0.75 * 1.5**i for i in range(8))),
+        lambda k, ell, eps, c: infer.si_uniformity_players(k, ell, eps, c=c),
+        lambda p, ell, eps, n, rng, coins, c: infer.si_uniformity_protocol(p, ell, eps, n, rng, c=c),
+        "c_uniformity", testers.C_UNIFORMITY_DEFAULT, tuple(0.75 * 1.5**i for i in range(8)),
     ),
     "flying-pony": Protocol(
         lambda k, ell, eps, c: infer.FLYING_PONY_C * k,
@@ -228,6 +218,23 @@ PROTOCOLS = {
 }
 
 
+def _check_constants(constants) -> None:
+    """Validate a constants block where it enters: a flat {key: positive finite real} map.
+
+    Every key must be some registered protocol's constant.  A key of another
+    protocol than the one that runs is allowed, so one block can serve all the
+    protocols of a scaling config.
+    """
+    if not isinstance(constants, (dict, type(None))):
+        raise ValueError("constants must be an object of {key: value}")
+    known = sorted(p.key for p in PROTOCOLS.values() if p.key)
+    for key, value in (constants or {}).items():
+        if key not in known:
+            raise ValueError(f"unknown constant {key!r}; known constants are {known}")
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+            raise ValueError(f"constant {key!r} must be a positive finite real, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # Experiments
 # ---------------------------------------------------------------------------
@@ -235,7 +242,8 @@ PROTOCOLS = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """`trials` seeded trials per grid cell; dict cells are validated here into Cells."""
+    """`trials` seeded trials per grid cell; dict cells are validated here into Cells,
+    and the constants block by `_check_constants`."""
 
     protocol: str
     instance: dict
@@ -247,10 +255,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.grid:
             raise KeyError("grid must be non-empty")
+        _check_integer("trials", self.trials)
+        _check_integer("master_seed", self.master_seed)
         if self.trials < 1:
             raise KeyError("trials must be >= 1")
         if self.protocol not in PROTOCOLS:
             raise KeyError(f"unknown protocol {self.protocol!r}")
+        _check_constants(self.constants)
         grid = tuple(c if isinstance(c, Cell) else Cell.from_dict(c) for c in self.grid)
         if any(c.eps is None for c in grid):
             raise KeyError("every grid cell needs eps")
@@ -265,8 +276,8 @@ class ExperimentConfig:
             protocol=obj["protocol"],
             instance=obj.get("instance", {"name": "uniform"}),
             grid=tuple(obj["grid"]),
-            trials=int(obj["trials"]),
-            master_seed=int(obj.get("master_seed", 0)),
+            trials=obj["trials"],
+            master_seed=obj.get("master_seed", 0),
             constants=obj.get("constants"),
         )
 
@@ -331,8 +342,9 @@ def run_trial(cfg: ExperimentConfig, cell_index: int, trial_index: int) -> Trial
     inst_rng = np.random.default_rng(children[0])
     p, expected = make_instance(cfg.instance, cell.k, cell.eps, inst_rng)
     rng, coins = np.random.default_rng(children[1]), PublicCoins(children[2])
-    n = proto.n_for(cell, cfg.constants)
-    verdict = proto.run(p, cell.ell, cell.eps, n, rng, coins, cfg.constants)
+    c = proto.constant(cfg.constants)
+    n = proto.n_for(cell, c)
+    verdict = proto.run(p, cell.ell, cell.eps, n, rng, coins, c)
     players = int(verdict.diagnostics["players_used"])
     if cfg.protocol == "simulate":
         expected = "symbol"
@@ -423,20 +435,12 @@ def calibrate(
         raise CalibrationFailure("target error must be positive (zero error is unattainable)", None)
     if budget < 100:
         raise KeyError("budget must be >= 100 trials per candidate")
-    if protocol not in PROTOCOLS or PROTOCOLS[protocol].ladder is None:
+    if protocol not in PROTOCOLS or not PROTOCOLS[protocol].ladder:
         raise KeyError(f"no calibration ladder for protocol {protocol!r}")
-    key, ladder = PROTOCOLS[protocol].ladder
+    key = PROTOCOLS[protocol].key
     best = None
-    for value in ladder:
-        if key == "levin_scale":
-            base = pu.DEFAULT_LEVIN_CONSTANTS
-            constants = {
-                "levin": pu.LevinConstants(
-                    c_m=base.c_m, c1=base.c1 * value, c2=base.c2 * value, c3=base.c3 * value, z=base.z
-                ).to_dict()
-            }
-        else:
-            constants = {key: value}
+    for value in PROTOCOLS[protocol].ladder:
+        constants = {key: value}
         # The largest error rate over cells and sides.
         worst = max(
             1.0 - sum(r.correct for r in reports) / len(reports)
@@ -485,7 +489,9 @@ def minimal_n(
 ) -> dict:
     """Geometric bracket + bisection for the smallest n with success rate >= target."""
     # The protocol's default n is the starting upper guess.
-    n_default = PROTOCOLS[protocol].n_for(Cell(k, ell, eps), constants)
+    _check_constants(constants)
+    proto = PROTOCOLS[protocol]
+    n_default = proto.n_for(Cell(k, ell, eps), proto.constant(constants))
     if n_default is None:
         raise KeyError(f"protocol {protocol!r} takes no player count")
     n_hi = min(n_default, n_cap)

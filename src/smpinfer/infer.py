@@ -35,7 +35,9 @@ __all__ = [
     "run_block_simulations",
     "simulate_and_infer",
     "si_uniformity_protocol",
+    "si_uniformity_players",
     "si_learning_protocol",
+    "si_learning_players",
     "flying_pony_protocol",
     "FLYING_PONY_C",
 ]
@@ -135,6 +137,13 @@ def si_uniformity_protocol(
 def si_uniformity_players(k: int, ell: int, eps: float, c: float = testers.C_UNIFORMITY_DEFAULT) -> int:
     """Default player budget: B = 4 psi + 9 blocks at the per-block budget."""
     psi = testers.centralized_n_req(k, eps, c)
+    per_block, _ = block_budget_players(k, ell)
+    return blocks_for_psi(psi) * per_block
+
+
+def si_learning_players(k: int, ell: int, eps: float) -> int:
+    """Default learning budget: B = 4 psi + 9 blocks for psi ~ 3 k / eps^2 samples."""
+    psi = testers.centralized_n_req(k, eps, c=3.0 * k / max(1.0, np.sqrt(k)))
     per_block, _ = block_budget_players(k, ell)
     return blocks_for_psi(psi) * per_block
 

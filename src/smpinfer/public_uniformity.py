@@ -35,9 +35,7 @@ from .testers import C_L2_DEFAULT, L2TestParams, collision_statistic, l2_uniform
 
 __all__ = [
     "SmoothSchedule",
-    "LevinConstants",
     "LevinSchedule",
-    "DEFAULT_LEVIN_CONSTANTS",
     "smooth_protocol",
     "WARMUP_C",
     "warmup_players",
@@ -166,30 +164,14 @@ def warmup_protocol(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LevinConstants:
-    """Multiplicative constants of the Levin schedule (calibrated empirically).
-
-    c_m scales the mini-batch counts m_j; c1, c2, c3 scale the three terms of
-    the per-mini-batch player formula; z is the noise-floor width (in null
-    standard deviations) of the stage thresholds.
-    """
-
-    c_m: float = 0.10
-    c1: float = 0.05
-    c2: float = 0.35
-    c3: float = 0.015
-    z: float = 6.0
-
-    def to_dict(self) -> dict:
-        return {"c_m": self.c_m, "c1": self.c1, "c2": self.c2, "c3": self.c3, "z": self.z}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LevinConstants":
-        return cls(**{key: float(d[key]) for key in ("c_m", "c1", "c2", "c3", "z")})
-
-
-DEFAULT_LEVIN_CONSTANTS = LevinConstants()
+# Calibrated constants of the Levin schedule: C_M scales the mini-batch counts m_j,
+# C1, C2, C3 the three terms of the per-mini-batch player formula (all three times
+# the schedule's c), and Z is the stage thresholds' noise floor in null sigmas.
+LEVIN_C_M = 0.10
+LEVIN_C1 = 0.05
+LEVIN_C2 = 0.35
+LEVIN_C3 = 0.015
+LEVIN_Z = 6.0
 
 
 @dataclass(frozen=True)
@@ -201,7 +183,9 @@ class LevinSchedule:
     n_j = a_j + b_j players per mini-batch, where a_j players feed the p(S)
     bias test and b_j players feed the conditional uniformity test (which
     requires r_j conditional samples).  When s = k the bias test's outcome
-    is certain, so a_j = 0.
+    is certain, so a_j = 0.  The tunable constant c multiplies LEVIN_C1,
+    LEVIN_C2 and LEVIN_C3 (the `levin_scale` key of a config's constants
+    block); c = 1 is the calibrated default.
     """
 
     k: int
@@ -215,12 +199,9 @@ class LevinSchedule:
     a_j: tuple[int, ...]
     r_j: tuple[int, ...]
     b_j: tuple[int, ...]
-    constants: LevinConstants
 
     @classmethod
-    def from_params(
-        cls, k: int, ell: int, eps: float, constants: LevinConstants = DEFAULT_LEVIN_CONSTANTS
-    ) -> "LevinSchedule":
+    def from_params(cls, k: int, ell: int, eps: float, c: float = 1.0) -> "LevinSchedule":
         if not (0 < eps < 1):
             raise ValueError("eps must lie in (0,1)")
         L = math.ceil(math.log2(2.0 / eps))
@@ -229,13 +210,13 @@ class LevinSchedule:
         for j in range(1, L + 1):
             w = (L + 5 - j) ** 2
             eps_j = 2.0**-j / 8.0
-            m_j = max(1, math.ceil(constants.c_m * w / (2**j * eps)))
+            m_j = max(1, math.ceil(LEVIN_C_M * w / (2**j * eps)))
             delta_j = 1.0 / (10.0 * w * m_j)
             log_d = math.log(1.0 / delta_j)
-            a_j = max(4, math.ceil(constants.c1 * k / (s * eps_j**2) * log_d)) if s < k else 0
+            a_j = max(4, math.ceil((LEVIN_C1 * c) * k / (s * eps_j**2) * log_d)) if s < k else 0
             if s > 1:
-                r_j = max(4, math.ceil(constants.c3 * math.sqrt(s) / eps_j**2 * log_d))
-                b_j = math.ceil(constants.c2 * (k / s) * log_d) * r_j
+                r_j = max(4, math.ceil((LEVIN_C3 * c) * math.sqrt(s) / eps_j**2 * log_d))
+                b_j = math.ceil((LEVIN_C2 * c) * (k / s) * log_d) * r_j
             else:
                 r_j, b_j = 0, 0
             eps_js.append(eps_j)
@@ -256,7 +237,6 @@ class LevinSchedule:
             a_j=tuple(a_js),
             r_j=tuple(r_js),
             b_j=tuple(b_js),
-            constants=constants,
         )
 
     @property
@@ -297,7 +277,7 @@ def levin_protocol(
     eps: float,
     coins: PublicCoins,
     rng: np.random.Generator,
-    constants: LevinConstants = DEFAULT_LEVIN_CONSTANTS,
+    c: float = 1.0,
     n: int | None = None,
 ) -> Verdict:
     """Run the full Levin schedule; accept iff every mini-batch passes both stages.
@@ -306,10 +286,11 @@ def levin_protocol(
     of the schedule (none when the schedule has no players), so the scaling
     harness can probe the success-vs-players tradeoff; the mini-batch
     structure itself is unchanged.  The default runs the schedule as is.
+    c is the schedule's tunable constant (see LevinSchedule).
     """
-    sched = LevinSchedule.from_params(p.k, ell, eps, constants)
+    sched = LevinSchedule.from_params(p.k, ell, eps, c)
     scale = n / sched.total_players if n is not None and sched.total_players else 1.0
-    k, s, z = p.k, sched.s, constants.z
+    k, s = p.k, sched.s
     p0 = s / k
     players_used = 0
     failures = 0
@@ -326,7 +307,7 @@ def levin_protocol(
             # Stage 1: bias test on p(S) from the first a players.
             if a:
                 phat = (a - play(p, part, a, rng)[0]) / a
-                tol = max(sched.eps_j[idx] * p0 / 2.0, z * math.sqrt(p0 * (1.0 - p0) / a))
+                tol = max(sched.eps_j[idx] * p0 / 2.0, LEVIN_Z * math.sqrt(p0 * (1.0 - p0) / a))
                 if abs(phat - p0) > tol:
                     failures += 1
                     first_failure = first_failure or ("stage1", j)
@@ -341,7 +322,7 @@ def levin_protocol(
                 continue
             collisions, pairs = collision_statistic(cond)
             rate = collisions / pairs
-            margin = max(sep / 2.0, z * math.sqrt((1.0 / s) * (1.0 - 1.0 / s) / pairs))
+            margin = max(sep / 2.0, LEVIN_Z * math.sqrt((1.0 / s) * (1.0 - 1.0 / s) / pairs))
             if rate > 1.0 / s + margin:
                 failures += 1
                 first_failure = first_failure or ("stage2", j)

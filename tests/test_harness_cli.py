@@ -23,9 +23,11 @@ from smpinfer.harness import (
     scaling_report,
     wilson_interval,
 )
+from smpinfer.infer import si_learning_players
 from smpinfer.public_uniformity import warmup_players
 
 TESTERS = ("smooth", "levin", "warmup", "private-si", "flying-pony")
+CELL_8 = {"k": 8, "ell": 2, "eps": 0.4}
 
 
 def small_config(**overrides):
@@ -120,6 +122,32 @@ class TestExperimentConfig:
         }))
         assert cfg.protocol == "levin" and cfg.trials == 2 and cfg.master_seed == 9
 
+    @pytest.mark.parametrize(
+        "constants",
+        [{"c_l_2": 1.0}, {"levin": {"c1": 0.05}}, {"c_l2": "6"}, {"c_l2": False}, {"c_l2": 0},
+         {"warmup_c": -2.0}, {"levin_scale": float("nan")}, {"levin_scale": float("inf")}, [("c_l2", 6.0)]],
+        ids=["unknown-key", "nested-levin-block", "string", "bool", "zero", "negative", "nan", "inf", "not-a-map"],
+    )
+    def test_bad_constants(self, constants):
+        # Rejected where the block enters, before a trial or a default n is computed.
+        with pytest.raises(ValueError):
+            small_config(constants=constants)
+        with pytest.raises(ValueError):
+            minimal_n("dummy-const", 16, 2, 0.3, trials=50, constants=constants)
+
+    def test_constants_of_other_protocols_are_allowed(self):
+        # One block can serve every protocol of a scaling config.
+        shared = {"c_l2": 6, "levin_scale": 0.5, "warmup_c": 13.0, "c_uniformity": 3.0}
+        assert run_trial(small_config(constants=shared), 0, 0) == run_trial(
+            small_config(constants={"c_l2": 6.0}), 0, 0
+        ) == run_trial(small_config(), 0, 0)
+
+    @pytest.mark.parametrize("field", ["trials", "master_seed"])
+    @pytest.mark.parametrize("value", [2.5, True, "3"])
+    def test_integer_fields(self, field, value):
+        with pytest.raises(ValueError):
+            small_config(**{field: value})
+
 
 class TestInstances:
     def test_uniform(self):
@@ -199,6 +227,22 @@ class TestCalibrate:
         again = calibrate("smooth", 1 / 3, [{"k": 8, "ell": 2, "eps": 0.4}], 100, master_seed=1)
         assert again == out  # the payload holds no wall-clock field
 
+    def test_levin_ladder_feeds_experiment(self):
+        cell = {"k": 16, "ell": 2, "eps": 0.3}
+        out = calibrate("levin", 1 / 3, [cell], 100, master_seed=0)
+        assert out["constant_key"] == "levin_scale"
+        assert out["constants"] == {"levin_scale": out["constant"]}
+        # The payload's block, read back by an experiment config on calibrate's
+        # seeds (seed * 2 + side), reproduces the measured error.
+        errors = []
+        for side, instance in enumerate(({"name": "uniform"}, {"name": "paninski", "theta": "random"})):
+            cfg = ExperimentConfig.from_json(json.dumps({
+                "protocol": "levin", "instance": instance, "grid": [cell], "trials": 100,
+                "master_seed": 0 * 2 + side, "constants": out["constants"],
+            }))
+            errors.append(1.0 - run_experiment(cfg).summaries[0]["success_rate"])
+        assert max(errors) == out["measured_error"]
+
 
 class TestScaling:
     def test_needs_three_points(self):
@@ -250,19 +294,41 @@ class TestCli:
             ("smooth", {"k": 8, "ell": 2, "eps": 0.4, "players": 10}),
             ("flying-pony", {"k": 16.0, "ell": 2, "eps": 0.3}),
             ("flying-pony", {"k": 16, "ell": 2, "eps": 0.3, "n": 1000.5}),
+            # (protocol, cell, extra config keys)
+            ("smooth", CELL_8, {"constants": {"c_l_2": 0.01}}),
+            ("smooth", CELL_8, {"constants": {"c_l2": "abc"}}),
+            ("smooth", CELL_8, {"constants": {"c_l2": True}}),
+            ("smooth", CELL_8, {"constants": {"c_l2": 0}}),
+            ("levin", CELL_8, {"constants": {"levin_scale": -1.0}}),
+            ("levin", CELL_8, {"constants": {"levin": {"c_m": 0.1, "c1": 0.05, "c2": 0.35, "c3": 0.015, "z": 6.0}}}),
+            ("smooth", CELL_8, {"trials": 2.5}),
+            ("smooth", CELL_8, {"master_seed": 1.5}),
+            ("smooth", {"k": 64, "ell": 2, "eps": 0.3}, {"instance": {"name": "pmf_file", "path": "k8.json"}}),
         ],
         ids=["undersized-n", "ell-0", "eps-1.5", "eps-0", "n-0", "experiment-n-0", "experiment-unknown-key",
-             "experiment-float-k", "experiment-fractional-n"],
+             "experiment-float-k", "experiment-fractional-n", "constant-unknown-key", "constant-string",
+             "constant-bool", "constant-zero", "constant-negative", "constant-nested-levin-block",
+             "fractional-trials", "fractional-master-seed", "pmf-file-wrong-k"],
     )
-    def test_bad_value_is_exit_3(self, case, tmp_path, capsys):
+    def test_bad_value_is_exit_3(self, case, tmp_path, capsys, monkeypatch):
         if isinstance(case, tuple):
-            protocol, cell = case
+            protocol, cell, *extra = case
+            monkeypatch.chdir(tmp_path)
+            (tmp_path / "k8.json").write_text(uniform(8).to_json())
             path = tmp_path / "cfg.json"
-            path.write_text(json.dumps({"protocol": protocol, "grid": [cell], "trials": 1}))
+            path.write_text(json.dumps({"protocol": protocol, "grid": [cell], "trials": 1, **(extra[0] if extra else {})}))
             argv = ["experiment", "--config", str(path)]
         else:
             argv = ["test-uniformity", "--k", "64", "--ell", "2", "--eps", "0.4", "--protocol", "smooth", *case]
         assert main(argv) == 3
+        assert "config error" in capsys.readouterr().err
+
+    def test_scaling_bad_constant_is_exit_3(self, tmp_path, capsys):
+        cfg = {"protocols": ["levin", "dummy-const"], "k_grid": [16, 32, 64], "eps": 0.3,
+               "ell": 2, "trials": 50, "constants": {"levin_scale": "1.0"}}
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["scaling", "--config", str(path)]) == 3
         assert "config error" in capsys.readouterr().err
 
     def test_warmup_runs_at_default_n(self, capsys):
@@ -301,6 +367,7 @@ class TestCli:
                      "--task", "learn", "--seed", "6"]) == 0
         row = json.loads(capsys.readouterr().out)
         assert row["decision"] == "estimate" and len(row["estimate"]) == 4
+        assert row["n"] == si_learning_players(4, 2, 0.3)
 
     def test_test_identity(self, tmp_path, capsys):
         ref = tmp_path / "q.json"

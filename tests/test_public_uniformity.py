@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from smpinfer.dist import paninski, PaninskiParam, uniform
 from smpinfer.public_uniformity import (
-    DEFAULT_LEVIN_CONSTANTS,
-    LevinConstants,
+    LEVIN_C1,
+    LEVIN_C2,
+    LEVIN_C3,
     LevinSchedule,
     SmoothSchedule,
     levin_protocol,
@@ -141,9 +142,19 @@ class TestLevinSchedule:
         with pytest.raises(ValueError):
             LevinSchedule.from_params(16, 2, 0.0)
 
-    def test_constants_roundtrip(self):
-        c = LevinConstants(c_m=0.2, c1=0.1, c2=0.3, c3=0.02, z=5.0)
-        assert LevinConstants.from_dict(c.to_dict()) == c
+    def test_scale_constant(self):
+        # c multiplies c1, c2 and c3 only: the scales and mini-batch counts stay.
+        base = LevinSchedule.from_params(64, 3, 0.3)
+        assert LevinSchedule.from_params(64, 3, 0.3, c=1.0) == base
+        c = 0.25 * 1.4**3
+        scaled = LevinSchedule.from_params(64, 3, 0.3, c=c)
+        assert (scaled.L, scaled.s, scaled.m_j, scaled.delta_j) == (base.L, base.s, base.m_j, base.delta_j)
+        for j, log_d in enumerate(math.log(1 / d) for d in base.delta_j):
+            eps_j, s, k = base.eps_j[j], base.s, 64
+            assert scaled.a_j[j] == max(4, math.ceil((LEVIN_C1 * c) * k / (s * eps_j**2) * log_d))
+            assert scaled.r_j[j] == max(4, math.ceil((LEVIN_C3 * c) * math.sqrt(s) / eps_j**2 * log_d))
+            assert scaled.b_j[j] == math.ceil((LEVIN_C2 * c) * (k / s) * log_d) * scaled.r_j[j]
+        assert scaled.total_players < base.total_players
 
 
 class TestLevinThreshold:
