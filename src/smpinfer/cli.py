@@ -15,7 +15,7 @@ import numpy as np
 from . import harness, identity, infer, verify
 from .dist import Partition, Pmf, uniform
 from .simulate import contiguous_blocks, rho, simulate_many
-from .smp import PublicCoins, trial_seed_seq
+from .smp import trial_seed_seq, trial_streams
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 2
@@ -89,14 +89,18 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def cmd_infer(args) -> int:
+def _one_shot(args):
+    """(p, cell, protocol rng, public coins) of a one-shot command: the run at
+    --seed s is trial (0, 0) of the matching one-cell experiment at master seed s."""
     p = _load_pmf(args.pmf, args.k)
-    cell = harness.Cell(p.k, args.ell, args.eps, args.n)
-    rng = np.random.default_rng(trial_seed_seq(args.seed, 0, 0))
+    _, rng, coins = trial_streams(args.seed, 0, 0)
+    return p, harness.Cell(p.k, args.ell, args.eps, args.n), rng, coins
+
+
+def cmd_infer(args) -> int:
+    p, cell, rng, coins = _one_shot(args)
     if args.task == "uniformity":
-        proto = harness.PROTOCOLS["private-si"]
-        n = proto.n_for(cell, proto.default)
-        verdict = proto.run(p, cell.ell, cell.eps, n, rng, None, proto.default)
+        n, verdict = harness.PROTOCOLS["private-si"].trial(p, cell, rng, coins)
     else:
         n = cell.n if cell.n is not None else infer.si_learning_players(p.k, cell.ell, cell.eps)
         verdict = infer.si_learning_protocol(p, cell.ell, n, rng)
@@ -105,34 +109,22 @@ def cmd_infer(args) -> int:
     return EXIT_OK
 
 
-def _rng_and_coins(seed: int) -> tuple[np.random.Generator, PublicCoins]:
-    rng_ss, coin_ss = trial_seed_seq(seed, 0, 0).spawn(2)
-    return np.random.default_rng(rng_ss), PublicCoins(coin_ss)
-
-
 def cmd_test_uniformity(args) -> int:
-    p = _load_pmf(args.pmf, args.k)
-    cell = harness.Cell(p.k, args.ell, args.eps, args.n)
-    rng, coins = _rng_and_coins(args.seed)
-    proto = harness.PROTOCOLS[args.protocol]
-    n = proto.n_for(cell, proto.default)
-    verdict = proto.run(p, cell.ell, cell.eps, n, rng, coins, proto.default)
+    p, cell, rng, coins = _one_shot(args)
+    n, verdict = harness.PROTOCOLS[args.protocol].trial(p, cell, rng, coins)
     row = {"protocol": args.protocol, "n": n, "decision": verdict.decision, **verdict.diagnostics}
     _emit(row, args.out, args.format)
     return EXIT_OK
 
 
 def cmd_test_identity(args) -> int:
-    p = _load_pmf(args.pmf, args.k)
-    cell = harness.Cell(p.k, args.ell, args.eps, args.n)
+    p, cell, rng, coins = _one_shot(args)
     with open(args.reference) as fh:
         q = Pmf.from_json(fh.read())
-    rng, coins = _rng_and_coins(args.seed)
     proto = harness.PROTOCOLS[args.protocol]
 
     def protocol(mapped, ell, eps, rng, coins):
-        n = proto.n_for(dataclasses.replace(cell, k=mapped.k, eps=eps), proto.default)
-        return proto.run(mapped, ell, eps, n, rng, coins, proto.default)
+        return proto.trial(mapped, dataclasses.replace(cell, k=mapped.k, eps=eps), rng, coins)[1]
 
     verdict = identity.identity_test_via_uniformity(
         p, q, cell.ell, cell.eps, protocol, {"rng": rng, "coins": coins}
@@ -320,6 +312,7 @@ def cmd_experiment(args) -> int:
 def cmd_scaling(args) -> int:
     with open(args.config) as fh:
         cfg = json.load(fh)
+    harness.check_keys("scaling config", cfg, ("protocols", "k_grid", "eps", "ell", "trials", "master_seed", "constants"))
     report = harness.scaling_report(
         cfg["protocols"],
         cfg["k_grid"],

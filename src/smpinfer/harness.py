@@ -20,8 +20,7 @@ import numpy as np
 
 from . import infer, public_uniformity as pu, testers
 from .dist import Pmf, PaninskiParam, flying_pony, paninski, uniform
-from .simulate import simulate_many
-from .smp import PublicCoins, Verdict, trial_seed_seq
+from .smp import PublicCoins, Verdict, trial_streams
 
 __all__ = [
     "Cell",
@@ -102,6 +101,15 @@ def make_instance(spec: dict, k: int, eps: float, rng: np.random.Generator) -> t
 # ---------------------------------------------------------------------------
 
 
+def check_keys(what: str, obj, known) -> None:
+    """Reject a config object that is not a JSON object or has a key outside `known`."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be an object")
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {what} keys {unknown}; known keys are {sorted(known)}")
+
+
 def _check_integer(name: str, value) -> None:
     if value is not None and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
         raise ValueError(f"{name} must be an integer")
@@ -136,9 +144,7 @@ class Cell:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Cell":
-        unknown = sorted(set(d) - {"k", "ell", "eps", "n"})
-        if unknown:
-            raise ValueError(f"unknown cell keys {unknown}")
+        check_keys("cell", d, ("k", "ell", "eps", "n"))
         return cls(k=d["k"], ell=d["ell"], eps=d.get("eps"), n=d.get("n"))
 
     def to_dict(self) -> dict:
@@ -148,16 +154,16 @@ class Cell:
 
 @dataclass(frozen=True)
 class Protocol:
-    """A registered protocol and its one tunable constant c: `key`'s value in a
+    """A registered tester and its one tunable constant c: `key`'s value in a
     constants block, else `default` (None for a protocol without a constant).
 
-    default_n(k, ell, eps, c) is the player count of a cell without n (None for
-    a protocol that takes no n); run(p, ell, eps, n, rng, coins, c) plays one
-    trial and returns the referee's verdict; ladder holds calibrate's candidate
-    values of c, smallest first.
+    default_n(k, ell, eps, c) is the player count of a cell without n;
+    run(p, ell, eps, n, rng, coins, c) plays one trial and returns the referee's
+    verdict; ladder holds calibrate's candidate values of c, smallest first.
+    `trial` is the one place that resolves c and n and calls run.
     """
 
-    default_n: Callable[[int, int, float, float | None], int | None]
+    default_n: Callable[[int, int, float, float | None], int]
     run: Callable[..., Verdict]
     key: str | None = None
     default: float | None = None
@@ -167,18 +173,15 @@ class Protocol:
         """This protocol's constant in a (validated) constants block, else its default."""
         return (constants or {}).get(self.key, self.default)
 
-    def n_for(self, cell: Cell, c: float | None) -> int | None:
+    def n_for(self, cell: Cell, c: float | None) -> int:
         """The cell's n if given, else this protocol's default at constant c."""
         return cell.n if cell.n is not None else self.default_n(cell.k, cell.ell, cell.eps, c)
 
-
-def _run_simulate(p, ell, eps, n, rng, coins, c):
-    out = simulate_many(p, ell, 1, rng)[0]
-    return Verdict(
-        decision="symbol",
-        symbol=out.symbol,
-        diagnostics={"players_used": out.players_used, "batches_used": out.batches_used},
-    )
+    def trial(self, p: Pmf, cell: Cell, rng, coins: PublicCoins, constants: dict | None = None) -> tuple[int, Verdict]:
+        """One trial on p at the cell: (the n it ran at, the referee's verdict)."""
+        c = self.constant(constants)
+        n = self.n_for(cell, c)
+        return n, self.run(p, cell.ell, cell.eps, n, rng, coins, c)
 
 
 def _run_dummy_const(p, ell, eps, n, rng, coins, c):
@@ -213,7 +216,6 @@ PROTOCOLS = {
         lambda k, ell, eps, c: infer.FLYING_PONY_C * k,
         lambda p, ell, eps, n, rng, coins, c: infer.flying_pony_protocol(p, n, rng),
     ),
-    "simulate": Protocol(lambda k, ell, eps, c: None, _run_simulate),
     "dummy-const": Protocol(lambda k, ell, eps, c: DUMMY_N, _run_dummy_const),
 }
 
@@ -243,7 +245,11 @@ def _check_constants(constants) -> None:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """`trials` seeded trials per grid cell; dict cells are validated here into Cells,
-    and the constants block by `_check_constants`."""
+    the instance spec's keys against INSTANCE_KEYS and the constants block by
+    `_check_constants`.  `from_json` also rejects unknown top-level keys."""
+
+    INSTANCE_KEYS = ("name", "theta", "path", "expected")
+    JSON_KEYS = ("schema_version", "protocol", "instance", "grid", "trials", "master_seed", "constants")
 
     protocol: str
     instance: dict
@@ -261,6 +267,7 @@ class ExperimentConfig:
             raise KeyError("trials must be >= 1")
         if self.protocol not in PROTOCOLS:
             raise KeyError(f"unknown protocol {self.protocol!r}")
+        check_keys("instance", self.instance, self.INSTANCE_KEYS)
         _check_constants(self.constants)
         grid = tuple(c if isinstance(c, Cell) else Cell.from_dict(c) for c in self.grid)
         if any(c.eps is None for c in grid):
@@ -270,6 +277,7 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         obj = json.loads(text)
+        check_keys("config", obj, cls.JSON_KEYS)
         if obj.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
             raise KeyError(f"unsupported schema_version {obj.get('schema_version')!r}")
         return cls(
@@ -336,32 +344,21 @@ class ExperimentResult:
 
 def run_trial(cfg: ExperimentConfig, cell_index: int, trial_index: int) -> TrialReport:
     cell = cfg.grid[cell_index]
-    proto = PROTOCOLS[cfg.protocol]
-    ss = trial_seed_seq(cfg.master_seed, cell_index, trial_index)
-    children = ss.spawn(3)  # instance stream, protocol stream, public coins
-    inst_rng = np.random.default_rng(children[0])
+    inst_rng, rng, coins = trial_streams(cfg.master_seed, cell_index, trial_index)
     p, expected = make_instance(cfg.instance, cell.k, cell.eps, inst_rng)
-    rng, coins = np.random.default_rng(children[1]), PublicCoins(children[2])
-    c = proto.constant(cfg.constants)
-    n = proto.n_for(cell, c)
-    verdict = proto.run(p, cell.ell, cell.eps, n, rng, coins, c)
-    players = int(verdict.diagnostics["players_used"])
-    if cfg.protocol == "simulate":
-        expected = "symbol"
-    correct = verdict.decision == expected
+    n, verdict = PROTOCOLS[cfg.protocol].trial(p, cell, rng, coins, cfg.constants)
     return TrialReport(
         cell=cell_index,
         trial=trial_index,
         k=cell.k,
         ell=cell.ell,
         eps=cell.eps,
-        # A protocol that takes no n (simulate) records the players it used.
-        n=players if n is None else n,
+        n=n,
         seed=f"{cfg.master_seed}/{cell_index}/{trial_index}",
         decision=verdict.decision,
         expected=expected,
-        correct=bool(correct),
-        players_used=players,
+        correct=verdict.decision == expected,
+        players_used=int(verdict.diagnostics["players_used"]),
         public_bits=int(verdict.diagnostics.get("public_bits", 0)),
     )
 
@@ -491,10 +488,7 @@ def minimal_n(
     # The protocol's default n is the starting upper guess.
     _check_constants(constants)
     proto = PROTOCOLS[protocol]
-    n_default = proto.n_for(Cell(k, ell, eps), proto.constant(constants))
-    if n_default is None:
-        raise KeyError(f"protocol {protocol!r} takes no player count")
-    n_hi = min(n_default, n_cap)
+    n_hi = min(proto.n_for(Cell(k, ell, eps), proto.constant(constants)), n_cap)
     evals = 0
     while _success_rate_at(protocol, k, ell, eps, n_hi, trials, seed + evals, constants) < target:
         evals += 1

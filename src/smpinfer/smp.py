@@ -1,4 +1,4 @@
-"""Simultaneous message-passing primitives: message maps, public coins, verdicts.
+"""Simultaneous message-passing primitives: message maps, public coins, verdicts, streams.
 
 Each of n players holds one i.i.d. sample from an unknown distribution and
 sends a single ell-bit message to a referee; the referee decides from the
@@ -11,9 +11,11 @@ may be empty.  Every referee statistic is a symmetric function of the
 messages, so referees read message counts: a public-coin draw returns its
 message map, and `play` draws the message counts of n players under it.
 
-Randomness discipline: everything derives from a master seed.  Each trial owns
-a stream keyed by (master seed, cell, trial); public coins are one shared
-stream whose draws are charged at their encoding length.
+Randomness discipline: everything derives from a master seed.  A trial is one
+protocol run, and `trial_streams(master seed, cell, trial)` splits its keyed
+seed into three streams: instance draws, the protocol's own draws (players and
+referee), and the public coins, whose draws are charged at their encoding
+length.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ __all__ = [
     "indicator",
     "play",
     "trial_seed_seq",
+    "trial_streams",
 ]
 
 # Stream namespaces under the master seed.  Every derived seed depends on
@@ -97,20 +100,25 @@ def trial_seed_seq(master_seed: int, cell_index: int, trial_index: int) -> np.ra
     return np.random.SeedSequence(master_seed, spawn_key=(_NS_TRIAL, cell_index, trial_index))
 
 
+def trial_streams(
+    master_seed: int, cell_index: int, trial_index: int
+) -> tuple[np.random.Generator, np.random.Generator, PublicCoins]:
+    """One trial's (instance rng, protocol rng, public coins), spawned in that order."""
+    inst_ss, proto_ss, coin_ss = trial_seed_seq(master_seed, cell_index, trial_index).spawn(3)
+    return np.random.default_rng(inst_ss), np.random.default_rng(proto_ss), PublicCoins(coin_ss)
+
+
 def public_coins(master_seed: int, *key: int) -> PublicCoins:
     return PublicCoins(np.random.SeedSequence(master_seed, spawn_key=(_NS_PUBLIC, *key)))
 
 
 @dataclass
 class Verdict:
-    """A referee decision: accept/reject for testers, a symbol or abort for simulators."""
+    """A referee decision: accept_uniform or reject (testers), estimate (learners), abort (inconclusive)."""
 
-    decision: str  # {accept_uniform, reject, abort, symbol, estimate}
-    symbol: int | None = None
+    decision: str
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.decision not in ("accept_uniform", "reject", "abort", "symbol", "estimate"):
+        if self.decision not in ("accept_uniform", "reject", "abort", "estimate"):
             raise ValueError(f"unknown decision {self.decision!r}")
-        if (self.decision == "symbol") != (self.symbol is not None):
-            raise ValueError("symbol verdicts and only symbol verdicts carry a symbol")

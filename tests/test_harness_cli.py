@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smpinfer.cli import _SUITES, main
-from smpinfer.dist import tv, uniform, Pmf
+from smpinfer.dist import PaninskiParam, Pmf, paninski, tv, uniform
 from smpinfer.harness import (
+    PROTOCOLS,
     CalibrationFailure,
     Cell,
     ExperimentConfig,
@@ -23,8 +24,10 @@ from smpinfer.harness import (
     scaling_report,
     wilson_interval,
 )
+from smpinfer.identity import identity_test_via_uniformity
 from smpinfer.infer import si_learning_players
 from smpinfer.public_uniformity import warmup_players
+from smpinfer.smp import trial_streams
 
 TESTERS = ("smooth", "levin", "warmup", "private-si", "flying-pony")
 CELL_8 = {"k": 8, "ell": 2, "eps": 0.4}
@@ -304,11 +307,17 @@ class TestCli:
             ("smooth", CELL_8, {"trials": 2.5}),
             ("smooth", CELL_8, {"master_seed": 1.5}),
             ("smooth", {"k": 64, "ell": 2, "eps": 0.3}, {"instance": {"name": "pmf_file", "path": "k8.json"}}),
+            ("smooth", CELL_8, {"constant": {"c_l2": 6.0}}),  # typo of "constants"
+            ("smooth", CELL_8, {"seed": 7}),  # in place of "master_seed"
+            ("smooth", CELL_8, {"instance": {"name": "paninski", "thetas": "ones"}}),
+            ("smooth", CELL_8, {"instance": "uniform"}),
+            ("simulate", CELL_8),  # simulate is a command, not a registered tester
         ],
         ids=["undersized-n", "ell-0", "eps-1.5", "eps-0", "n-0", "experiment-n-0", "experiment-unknown-key",
              "experiment-float-k", "experiment-fractional-n", "constant-unknown-key", "constant-string",
              "constant-bool", "constant-zero", "constant-negative", "constant-nested-levin-block",
-             "fractional-trials", "fractional-master-seed", "pmf-file-wrong-k"],
+             "fractional-trials", "fractional-master-seed", "pmf-file-wrong-k", "config-unknown-key",
+             "config-seed-key", "instance-unknown-key", "instance-not-an-object", "simulate-protocol"],
     )
     def test_bad_value_is_exit_3(self, case, tmp_path, capsys, monkeypatch):
         if isinstance(case, tuple):
@@ -323,9 +332,12 @@ class TestCli:
         assert main(argv) == 3
         assert "config error" in capsys.readouterr().err
 
-    def test_scaling_bad_constant_is_exit_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "extra", [{"constants": {"levin_scale": "1.0"}}, {"seed": 3}], ids=["constant-string", "unknown-key"]
+    )
+    def test_scaling_bad_constant_is_exit_3(self, extra, tmp_path, capsys):
         cfg = {"protocols": ["levin", "dummy-const"], "k_grid": [16, 32, 64], "eps": 0.3,
-               "ell": 2, "trials": 50, "constants": {"levin_scale": "1.0"}}
+               "ell": 2, "trials": 50, **extra}
         path = tmp_path / "s.json"
         path.write_text(json.dumps(cfg))
         assert main(["scaling", "--config", str(path)]) == 3
@@ -369,15 +381,28 @@ class TestCli:
         assert row["decision"] == "estimate" and len(row["estimate"]) == 4
         assert row["n"] == si_learning_players(4, 2, 0.3)
 
-    def test_test_identity(self, tmp_path, capsys):
-        ref = tmp_path / "q.json"
-        ref.write_text(uniform(8).to_json())
-        rc = main(["test-identity", "--pmf", str(ref), "--reference", str(ref),
-                   "--ell", "3", "--eps", "0.4", "--protocol", "smooth", "--seed", "1"])
+    @pytest.mark.parametrize("protocol", ["smooth", "levin", "private-si"])
+    def test_test_identity(self, protocol, tmp_path, capsys):
+        q = Pmf(k=8, probs=np.array([0.3, 0.2, 0.1, 0.1, 0.1, 0.1, 0.05, 0.05]))
+        ref, pmf = tmp_path / "q.json", tmp_path / "p.json"
+        ref.write_text(q.to_json())
+        pmf.write_text(uniform(8).to_json())
+        rc = main(["test-identity", "--pmf", str(pmf), "--reference", str(ref),
+                   "--ell", "3", "--eps", "0.4", "--protocol", protocol, "--seed", "1"])
         assert rc == 0
         row = json.loads(capsys.readouterr().out)
-        assert row["decision"] in ("accept_identity", "reject")
         assert row["mapped_domain"] == 40
+        # The command is the reduction run on trial (0, 0)'s streams at master seed 1.
+        _, rng, coins = trial_streams(1, 0, 0)
+        proto = PROTOCOLS[protocol]
+        verdict = identity_test_via_uniformity(
+            uniform(8), q, 3, 0.4,
+            lambda mapped, ell, eps, rng, coins: proto.trial(mapped, Cell(mapped.k, ell, eps), rng, coins)[1],
+            {"rng": rng, "coins": coins},
+        )
+        decision = {"accept_uniform": "accept_identity", "reject": "reject"}[verdict.decision]
+        assert (row["decision"], row["players_used"], row.get("public_bits")) == (
+            decision, verdict.diagnostics["players_used"], verdict.diagnostics.get("public_bits"))
 
     def test_scaling_cli(self, tmp_path, capsys):
         cfg = {"protocols": ["dummy-const"], "k_grid": [16, 32, 64], "eps": 0.3,
@@ -387,3 +412,35 @@ class TestCli:
         assert main(["scaling", "--config", str(path), "--seed", "0"]) == 0
         rep = json.loads(capsys.readouterr().out)
         assert abs(rep["slopes"]["dummy-const"]) < 0.05
+
+
+class TestOneTrial:
+    """A one-shot command at --seed s is trial (0, 0) of the matching one-cell
+    experiment at master seed s: same n, verdict, players and public bits."""
+
+    SEED = ["--seed", "4"]
+
+    @pytest.mark.parametrize("instance", ["uniform", "pmf_file"])
+    @pytest.mark.parametrize("protocol", TESTERS)
+    def test_test_uniformity_is_trial_0_0(self, protocol, instance, tmp_path, capsys):
+        if instance == "uniform":
+            spec, source = {"name": "uniform"}, ["--k", "8"]
+        else:
+            path = tmp_path / "p.json"
+            path.write_text(paninski(PaninskiParam(k=8, eps=0.4, theta=np.array([1, -1, 1, -1]))).to_json())
+            spec, source = {"name": "pmf_file", "path": str(path)}, ["--pmf", str(path)]
+        argv = ["test-uniformity", *source, "--ell", "2", "--eps", "0.4", "--protocol", protocol, *self.SEED]
+        assert main(argv) == 0
+        row = json.loads(capsys.readouterr().out)
+        report = run_trial(small_config(protocol=protocol, instance=spec, grid=(CELL_8,), master_seed=4), 0, 0)
+        assert (row["n"], row["decision"], row["players_used"], row.get("public_bits", 0)) == (
+            report.n, report.decision, report.players_used, report.public_bits)
+
+    def test_infer_uniformity_is_private_si(self, capsys):
+        common = ["--k", "8", "--ell", "2", "--eps", "0.4", *self.SEED]
+        assert main(["infer", *common, "--task", "uniformity"]) == 0
+        infer_row = json.loads(capsys.readouterr().out)
+        assert main(["test-uniformity", *common, "--protocol", "private-si"]) == 0
+        tester_row = json.loads(capsys.readouterr().out)
+        assert infer_row.pop("task") == "uniformity" and tester_row.pop("protocol") == "private-si"
+        assert infer_row == tester_row

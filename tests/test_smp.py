@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smpinfer.dist import Pmf, flatten
-from smpinfer.smp import Verdict, indicator, play, public_coins, trial_seed_seq
+from smpinfer.smp import Verdict, indicator, play, public_coins, trial_seed_seq, trial_streams
 
 
 class TestPublicCoins:
@@ -117,15 +117,18 @@ class TestStreams:
         b = np.random.default_rng(trial_seed_seq(1, 0, 1)).random(3)
         assert not np.array_equal(a, b)
 
+    def test_trial_streams_spawn_order(self):
+        # Instance, protocol and coin streams are the trial seed's three children, in that order.
+        inst, rng, coins = trial_streams(1, 2, 3)
+        children = trial_seed_seq(1, 2, 3).spawn(3)
+        assert inst.random() == np.random.default_rng(children[0]).random()
+        assert rng.random() == np.random.default_rng(children[1]).random()
+        assert coins.seed_seq.spawn_key == children[2].spawn_key and coins.bits_used == 0
+
 
 class TestVerdict:
     def test_decisions(self):
         Verdict(decision="accept_uniform")
-        Verdict(decision="symbol", symbol=3)
         with pytest.raises(ValueError):
             Verdict(decision="maybe")
-        with pytest.raises(ValueError):
-            Verdict(decision="symbol")
-        with pytest.raises(ValueError):
-            Verdict(decision="reject", symbol=1)
 
