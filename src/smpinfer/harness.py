@@ -38,7 +38,7 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 N_CAP = 50_000_000
-DUMMY_N = 500  # the dummy-const control protocol is correct iff n >= DUMMY_N
+MAX_ERROR = 1.0 / 3.0  # the per-side error every tester guarantees
 # Phi^-1(0.975), correctly rounded; the persisted Wilson bounds depend on its last digit.
 Z_95 = 1.959963984540054
 
@@ -184,13 +184,6 @@ class Protocol:
         return n, self.run(p, cell.ell, cell.eps, n, rng, coins, c)
 
 
-def _run_dummy_const(p, ell, eps, n, rng, coins, c):
-    # Control protocol for the scaling report.
-    expect = "accept_uniform" if float(np.max(p.probs) - np.min(p.probs)) < 1e-12 else "reject"
-    wrong = "reject" if expect == "accept_uniform" else "accept_uniform"
-    return Verdict(decision=expect if n >= DUMMY_N else wrong, diagnostics={"players_used": n})
-
-
 PROTOCOLS = {
     "smooth": Protocol(
         lambda k, ell, eps, c: pu.SmoothSchedule.from_params(k, ell, eps, c_l2=c).total_players,
@@ -216,7 +209,6 @@ PROTOCOLS = {
         lambda k, ell, eps, c: infer.FLYING_PONY_C * k,
         lambda p, ell, eps, n, rng, coins, c: infer.flying_pony_protocol(p, n, rng),
     ),
-    "dummy-const": Protocol(lambda k, ell, eps, c: DUMMY_N, _run_dummy_const),
 }
 
 
@@ -398,22 +390,21 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
 
 
 class CalibrationFailure(RuntimeError):
-    def __init__(self, message, best):
-        super().__init__(message)
-        self.best = best
+    """No ladder value met the target error."""
 
 
-def _side_reports(protocol: str, cell: dict, constants: dict | None, trials: int, seed: int) -> list:
-    """Per side (uniform, then random paninski): the reports of `trials` trials at this cell."""
-    return [
-        run_experiment(
-            ExperimentConfig(
-                protocol=protocol, instance=inst, grid=(cell,), trials=trials,
-                master_seed=seed * 2 + side, constants=constants,
-            )
-        ).reports
-        for side, inst in enumerate(({"name": "uniform"}, {"name": "paninski", "theta": "random"}))
-    ]
+def _cell_error(protocol: str, cell: Cell, constants: dict | None, trials: int, seed: int) -> float:
+    """The larger side error at the cell: `trials` trials on uniform, then on a
+    random paninski instance, at master seed seed * 2 + side.  A side's error is
+    wrong / trials, which is exact at a boundary such as 1/3."""
+    errors = []
+    for side, inst in enumerate(({"name": "uniform"}, {"name": "paninski", "theta": "random"})):
+        cfg = ExperimentConfig(
+            protocol=protocol, instance=inst, grid=(cell,), trials=trials,
+            master_seed=seed * 2 + side, constants=constants,
+        )
+        errors.append(sum(not r.correct for r in run_experiment(cfg).reports) / trials)
+    return max(errors)
 
 
 def calibrate(
@@ -423,54 +414,49 @@ def calibrate(
     budget: int,
     master_seed: int = 0,
 ) -> dict:
-    """Smallest ladder constant meeting the target two-sided error on every cell.
+    """Smallest ladder constant whose error on each side of every cell is <= target_error.
 
     budget is trials per candidate per cell side; the result dict is a
-    constants file payload with provenance metadata.
+    constants file payload with provenance metadata.  The target and the grid
+    are validated before any trial runs.
     """
-    if target_error <= 0:
-        raise CalibrationFailure("target error must be positive (zero error is unattainable)", None)
+    if isinstance(target_error, bool) or not isinstance(target_error, numbers.Real) or not 0 < target_error < 1:
+        raise ValueError(f"target error must be a real number in (0,1), got {target_error!r}")
     if budget < 100:
         raise KeyError("budget must be >= 100 trials per candidate")
     if protocol not in PROTOCOLS or not PROTOCOLS[protocol].ladder:
         raise KeyError(f"no calibration ladder for protocol {protocol!r}")
+    if not isinstance(grid, (list, tuple)) or not grid:
+        raise ValueError("grid must be a non-empty list of cells")
+    cells = [Cell.from_dict(d) for d in grid]
+    if any(c.eps is None for c in cells):
+        raise ValueError("every grid cell needs eps")
     key = PROTOCOLS[protocol].key
-    best = None
+    errors = {}
     for value in PROTOCOLS[protocol].ladder:
         constants = {key: value}
-        # The largest error rate over cells and sides.
-        worst = max(
-            1.0 - sum(r.correct for r in reports) / len(reports)
-            for cell in grid
-            for reports in _side_reports(protocol, cell, constants, budget, master_seed)
-        )
-        if best is None or worst < best["measured_error"]:
-            best = {"constant": value, "measured_error": worst}
-        if worst <= target_error:
+        errors[value] = max(_cell_error(protocol, cell, constants, budget, master_seed) for cell in cells)
+        if errors[value] <= target_error:
             return {
                 "protocol": protocol,
                 "constant_key": key,
                 "constant": value,
                 "constants": constants,
-                "measured_error": worst,
+                "measured_error": errors[value],
                 "target_error": target_error,
-                "grid": grid,
+                "grid": [c.to_dict() for c in cells],
                 "budget": budget,
                 "master_seed": master_seed,
             }
+    best = min(errors, key=errors.get)
     raise CalibrationFailure(
-        f"no ladder value met target {target_error}; best {best}", best
+        f"no ladder value met target {target_error}; lowest error {errors[best]} at {key} = {best}"
     )
 
 
 # ---------------------------------------------------------------------------
 # Scaling report
 # ---------------------------------------------------------------------------
-
-
-def _success_rate_at(protocol: str, k: int, ell: int, eps: float, n: int, trials: int, seed: int, constants=None) -> float:
-    sides = _side_reports(protocol, {"k": k, "ell": ell, "eps": eps, "n": n}, constants, trials // 2, seed)
-    return sum(r.correct for reports in sides for r in reports) / (2 * (trials // 2))
 
 
 def minimal_n(
@@ -480,23 +466,28 @@ def minimal_n(
     eps: float,
     trials: int = 300,
     seed: int = 0,
-    target: float = 2.0 / 3.0,
     constants=None,
     n_cap: int = N_CAP,
 ) -> dict:
-    """Geometric bracket + bisection for the smallest n with success rate >= target."""
+    """Geometric bracket + bisection for the smallest n whose error is <= MAX_ERROR
+    on each side, over trials // 2 trials per side."""
     # The protocol's default n is the starting upper guess.
     _check_constants(constants)
     proto = PROTOCOLS[protocol]
     n_hi = min(proto.n_for(Cell(k, ell, eps), proto.constant(constants)), n_cap)
+    row = {"protocol": protocol, "k": k, "ell": ell, "eps": eps}
+
+    def passes(n: int, at_seed: int) -> bool:
+        return _cell_error(protocol, Cell(k, ell, eps, n), constants, trials // 2, at_seed) <= MAX_ERROR
+
     evals = 0
-    while _success_rate_at(protocol, k, ell, eps, n_hi, trials, seed + evals, constants) < target:
+    while not passes(n_hi, seed + evals):
         evals += 1
         n_hi *= 2
         if n_hi > n_cap:
-            return {"protocol": protocol, "k": k, "n_min": None, "censored": True}
+            return {**row, "n_min": None, "censored": True}
     n_lo = n_hi // 2
-    while n_lo >= 8 and _success_rate_at(protocol, k, ell, eps, n_lo, trials, seed + 100 + evals, constants) >= target:
+    while n_lo >= 8 and passes(n_lo, seed + 100 + evals):
         evals += 1
         n_hi = n_lo
         n_lo //= 2
@@ -505,11 +496,11 @@ def minimal_n(
         mid = int(round(math.sqrt(n_lo * n_hi)))
         if mid in (n_lo, n_hi):
             break
-        if _success_rate_at(protocol, k, ell, eps, mid, trials, seed + 200 + i, constants) >= target:
+        if passes(mid, seed + 200 + i):
             n_hi = mid
         else:
             n_lo = mid
-    return {"protocol": protocol, "k": k, "ell": ell, "eps": eps, "n_min": n_hi, "censored": False}
+    return {**row, "n_min": n_hi, "censored": False}
 
 
 def scaling_report(

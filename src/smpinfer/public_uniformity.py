@@ -40,7 +40,6 @@ __all__ = [
     "WARMUP_C",
     "warmup_players",
     "warmup_protocol",
-    "levin_threshold",
     "levin_protocol",
 ]
 
@@ -251,24 +250,6 @@ class LevinSchedule:
     def delta_budget(self) -> float:
         """sum_j m_j delta_j; the schedule keeps this below 1/40."""
         return sum(m * d for m, d in zip(self.m_j, self.delta_j))
-
-
-def levin_threshold(q_values, eps: float) -> int | None:
-    """Smallest scale j with P[q(X) > 2^-j] > 2^j eps / (L+5-j)^2, or None.
-
-    Returns None ("not applicable") when the mean of q_values is <= eps, the
-    regime where the work-investment guarantee does not apply.
-    """
-    q = np.asarray(q_values, dtype=np.float64)
-    if np.any(q < 0) or np.any(q > 1):
-        raise ValueError("q_values must lie in [0,1]")
-    if q.mean() <= eps:
-        return None
-    L = math.ceil(math.log2(2.0 / eps))
-    for j in range(1, L + 1):
-        if np.mean(q > 2.0**-j) > 2**j * eps / (L + 5 - j) ** 2:
-            return j
-    return None
 
 
 def levin_protocol(

@@ -30,6 +30,7 @@ __all__ = [
     "batch_law_enumeration",
     "rho_enumeration",
     "levin_claim_enumeration",
+    "levin_threshold",
 ]
 
 
@@ -332,3 +333,22 @@ def levin_claim_enumeration(p: Pmf, s: int) -> tuple[float, float]:
     u = uniform(k)
     t = 0.5 * float(np.abs(p.probs - u.probs).sum())
     return total / count, t * s / k
+
+
+def levin_threshold(q_values, eps: float) -> int | None:
+    """Smallest scale j with P[q(X) > 2^-j] > 2^j eps / (L+5-j)^2, or None.
+
+    The work-investment lemma says such a j <= L exists whenever mean(q) > eps.
+    Returns None ("not applicable") when the mean of q_values is <= eps, the
+    regime where the work-investment guarantee does not apply.
+    """
+    q = np.asarray(q_values, dtype=np.float64)
+    if np.any(q < 0) or np.any(q > 1):
+        raise ValueError("q_values must lie in [0,1]")
+    if q.mean() <= eps:
+        return None
+    L = math.ceil(math.log2(2.0 / eps))
+    for j in range(1, L + 1):
+        if np.mean(q > 2.0**-j) > 2**j * eps / (L + 5 - j) ** 2:
+            return j
+    return None

@@ -24,7 +24,7 @@ from smpinfer.dist import (
 from smpinfer.harness import ExperimentConfig, run_experiment, scaling_report
 from smpinfer.identity import build_map, map_pmf, map_sample
 from smpinfer.infer import si_uniformity_players, si_uniformity_protocol
-from smpinfer.public_uniformity import LevinSchedule, levin_threshold
+from smpinfer.public_uniformity import LevinSchedule
 from smpinfer.simulate import contiguous_blocks, player_bound, rho, simulate_many
 from smpinfer.verify import (
     Deviation,
@@ -36,6 +36,7 @@ from smpinfer.verify import (
     frobenius_sq,
     h_matrix,
     levin_claim_enumeration,
+    levin_threshold,
     paninski_message_tv_bound,
     rho_enumeration,
     subgaussian_claim_check,
@@ -330,7 +331,7 @@ def test_criterion_12_identity_reduction():
                 f"end-to-end {ok_same}/30 and {ok_far}/30")
 
 
-def test_criterion_13_determinism():
+def test_criterion_13_determinism(control_protocols):
     # Same master seed -> byte-identical data outputs, including across workers.
     cfg = ExperimentConfig(
         protocol="levin", instance={"name": "paninski", "theta": "random"},

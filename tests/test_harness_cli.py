@@ -131,7 +131,7 @@ class TestExperimentConfig:
          {"warmup_c": -2.0}, {"levin_scale": float("nan")}, {"levin_scale": float("inf")}, [("c_l2", 6.0)]],
         ids=["unknown-key", "nested-levin-block", "string", "bool", "zero", "negative", "nan", "inf", "not-a-map"],
     )
-    def test_bad_constants(self, constants):
+    def test_bad_constants(self, constants, control_protocols):
         # Rejected where the block enters, before a trial or a default n is computed.
         with pytest.raises(ValueError):
             small_config(constants=constants)
@@ -215,8 +215,14 @@ class TestRunExperiment:
 
 class TestCalibrate:
     def test_impossible_target(self):
-        with pytest.raises(CalibrationFailure):
+        # A zero target is a config error, raised before any trial.
+        with pytest.raises(ValueError):
             calibrate("smooth", 0.0, [{"k": 8, "ell": 2, "eps": 0.4}], 100)
+
+    def test_no_ladder_value_meets_target(self):
+        # At a fixed n of 20 players no constant brings Levin's error near 0.1.
+        with pytest.raises(CalibrationFailure, match="no ladder value met target 0.1"):
+            calibrate("levin", 0.1, [{"k": 8, "ell": 2, "eps": 0.4, "n": 20}], 100)
 
     def test_budget_floor(self):
         with pytest.raises(KeyError):
@@ -243,10 +249,11 @@ class TestCalibrate:
                 "protocol": "levin", "instance": instance, "grid": [cell], "trials": 100,
                 "master_seed": 0 * 2 + side, "constants": out["constants"],
             }))
-            errors.append(1.0 - run_experiment(cfg).summaries[0]["success_rate"])
+            errors.append(sum(not r.correct for r in run_experiment(cfg).reports) / 100)
         assert max(errors) == out["measured_error"]
 
 
+@pytest.mark.usefixtures("control_protocols")
 class TestScaling:
     def test_needs_three_points(self):
         with pytest.raises(KeyError):
@@ -260,6 +267,13 @@ class TestScaling:
     def test_censoring(self):
         out = minimal_n("dummy-const", 16, 2, 0.3, trials=50, n_cap=100)
         assert out["censored"] and out["n_min"] is None
+        assert (out["ell"], out["eps"]) == (2, 0.3)
+
+    def test_each_side_must_pass(self):
+        # half-uniform's far side is always right and its uniform side is right
+        # iff n >= 1000, else by a fair coin: pooled over both sides it succeeds
+        # about 3/4 of the time at any n, so only a per-side rule finds 1000.
+        assert minimal_n("half-uniform", 16, 2, 0.3, trials=300, seed=0)["n_min"] == 1000
 
 
 class TestCli:
@@ -335,12 +349,34 @@ class TestCli:
     @pytest.mark.parametrize(
         "extra", [{"constants": {"levin_scale": "1.0"}}, {"seed": 3}], ids=["constant-string", "unknown-key"]
     )
-    def test_scaling_bad_constant_is_exit_3(self, extra, tmp_path, capsys):
+    def test_scaling_bad_constant_is_exit_3(self, extra, tmp_path, capsys, control_protocols):
         cfg = {"protocols": ["levin", "dummy-const"], "k_grid": [16, 32, 64], "eps": 0.3,
                "ell": 2, "trials": 50, **extra}
         path = tmp_path / "s.json"
         path.write_text(json.dumps(cfg))
         assert main(["scaling", "--config", str(path)]) == 3
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "target, grid",
+        [
+            ("nan", [CELL_8]),
+            ("1.5", [CELL_8]),
+            ("-1", [CELL_8]),
+            ("0", [CELL_8]),
+            ("0.3", []),
+            ("0.3", [{"k": 8, "ell": 2}]),
+            ("0.3", [CELL_8, {**CELL_8, "players": 10}]),
+            ("0.3", 5),
+        ],
+        ids=["target-nan", "target-1.5", "target-negative", "target-zero", "empty-grid", "cell-without-eps",
+             "second-cell-unknown-key", "grid-not-a-list"],
+    )
+    def test_calibrate_bad_value_is_exit_3(self, target, grid, capsys, monkeypatch):
+        # Rejected before any trial runs.
+        monkeypatch.setattr("smpinfer.harness.run_experiment", None)
+        argv = ["calibrate", "--protocol", "smooth", "--budget", "100", "--target-error", target, "--grid", json.dumps(grid)]
+        assert main(argv) == 3
         assert "config error" in capsys.readouterr().err
 
     def test_warmup_runs_at_default_n(self, capsys):
@@ -404,7 +440,7 @@ class TestCli:
         assert (row["decision"], row["players_used"], row.get("public_bits")) == (
             decision, verdict.diagnostics["players_used"], verdict.diagnostics.get("public_bits"))
 
-    def test_scaling_cli(self, tmp_path, capsys):
+    def test_scaling_cli(self, tmp_path, capsys, control_protocols):
         cfg = {"protocols": ["dummy-const"], "k_grid": [16, 32, 64], "eps": 0.3,
                "ell": 2, "trials": 50}
         path = tmp_path / "s.json"

@@ -14,11 +14,11 @@ from smpinfer.public_uniformity import (
     LevinSchedule,
     SmoothSchedule,
     levin_protocol,
-    levin_threshold,
     smooth_protocol,
     warmup_protocol,
 )
 from smpinfer.smp import public_coins
+from smpinfer.verify import levin_threshold
 
 
 def far_instance(k, eps, seed=0):
