@@ -15,7 +15,7 @@ import numpy as np
 from . import harness, identity, infer, verify
 from .dist import Partition, Pmf, uniform
 from .simulate import contiguous_blocks, rho, simulate_many
-from .smp import trial_seed_seq, trial_streams
+from .smp import TrialStreams, trial_seed_seq
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 2
@@ -90,45 +90,42 @@ def cmd_simulate(args) -> int:
 
 
 def _one_shot(args):
-    """(p, cell, protocol rng, public coins) of a one-shot command: the run at
-    --seed s is trial (0, 0) of the matching one-cell experiment at master seed s."""
+    """(p, cell, trial streams) of a one-shot command: the run at --seed s is
+    trial (0, 0) of the matching one-cell experiment at master seed s."""
     p = _load_pmf(args.pmf, args.k)
-    _, rng, coins = trial_streams(args.seed, 0, 0)
-    return p, harness.Cell(p.k, args.ell, args.eps, args.n), rng, coins
+    return p, harness.Cell(p.k, args.ell, args.eps, args.n), TrialStreams(args.seed, 0, 0)
 
 
 def cmd_infer(args) -> int:
-    p, cell, rng, coins = _one_shot(args)
+    p, cell, streams = _one_shot(args)
     if args.task == "uniformity":
-        n, verdict = harness.PROTOCOLS["private-si"].trial(p, cell, rng, coins)
+        n, verdict = harness.PROTOCOLS["private-si"].trial(p, cell, streams)
     else:
         n = cell.n if cell.n is not None else infer.si_learning_players(p.k, cell.ell, cell.eps)
-        verdict = infer.si_learning_protocol(p, cell.ell, n, rng)
+        verdict = infer.si_learning_protocol(p, cell.ell, n, streams.protocol)
     row = {"task": args.task, "n": n, "decision": verdict.decision, **verdict.diagnostics}
     _emit(row, args.out, args.format)
     return EXIT_OK
 
 
 def cmd_test_uniformity(args) -> int:
-    p, cell, rng, coins = _one_shot(args)
-    n, verdict = harness.PROTOCOLS[args.protocol].trial(p, cell, rng, coins)
+    p, cell, streams = _one_shot(args)
+    n, verdict = harness.PROTOCOLS[args.protocol].trial(p, cell, streams)
     row = {"protocol": args.protocol, "n": n, "decision": verdict.decision, **verdict.diagnostics}
     _emit(row, args.out, args.format)
     return EXIT_OK
 
 
 def cmd_test_identity(args) -> int:
-    p, cell, rng, coins = _one_shot(args)
+    p, cell, streams = _one_shot(args)
     with open(args.reference) as fh:
         q = Pmf.from_json(fh.read())
     proto = harness.PROTOCOLS[args.protocol]
 
-    def protocol(mapped, ell, eps, rng, coins):
-        return proto.trial(mapped, dataclasses.replace(cell, k=mapped.k, eps=eps), rng, coins)[1]
+    def protocol(mapped, ell, eps, streams):
+        return proto.trial(mapped, dataclasses.replace(cell, k=mapped.k, eps=eps), streams)[1]
 
-    verdict = identity.identity_test_via_uniformity(
-        p, q, cell.ell, cell.eps, protocol, {"rng": rng, "coins": coins}
-    )
+    verdict = identity.identity_test_via_uniformity(p, q, cell.ell, cell.eps, protocol, {"streams": streams})
     decision = "accept_identity" if verdict.decision == "accept_uniform" else verdict.decision
     row = {"protocol": args.protocol, "decision": decision, **verdict.diagnostics}
     _emit(row, args.out, args.format)

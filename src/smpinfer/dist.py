@@ -102,6 +102,15 @@ class Partition:
         a.setflags(write=False)
         object.__setattr__(self, "assign", a)
 
+    @classmethod
+    def _trusted(cls, k: int, L: int, assign: np.ndarray) -> "Partition":
+        """A map that this package built from checked arguments: an int64 `assign`
+        of length k with entries in [0, L).  It is made read-only, not validated."""
+        assign.setflags(write=False)
+        part = object.__new__(cls)
+        part.__dict__.update(k=k, L=L, assign=assign)
+        return part
+
     @property
     def balanced(self) -> bool:
         counts = np.bincount(self.assign, minlength=self.L)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import infer, public_uniformity as pu, testers
 from .dist import Pmf, PaninskiParam, flying_pony, paninski, uniform
-from .smp import PublicCoins, Verdict, trial_streams
+from .smp import TrialStreams, Verdict
 
 __all__ = [
     "Cell",
@@ -60,12 +60,12 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def make_instance(spec: dict, k: int, eps: float, rng: np.random.Generator) -> tuple[Pmf, str]:
+def make_instance(spec: dict, k: int, eps: float, streams: TrialStreams) -> tuple[Pmf, str]:
     """Build the trial's distribution; returns (pmf, expected verdict).
 
     spec["name"] in {uniform, paninski, flying_pony, pmf_file}; paninski /
     flying_pony theta is "alternating", "ones", their "neg-" negations, or
-    "random" (drawn from the trial stream).
+    "random" (drawn from the trial's instance stream, the only spec that reads it).
     """
     name = spec.get("name", "uniform")
     if name == "uniform":
@@ -86,7 +86,7 @@ def make_instance(spec: dict, k: int, eps: float, rng: np.random.Generator) -> t
     elif theta_kind == "neg-ones":
         theta = -np.ones(k // 2, dtype=np.int64)
     elif theta_kind == "random":
-        theta = np.where(rng.random(k // 2) < 0.5, 1, -1)
+        theta = np.where(streams.instance.random(k // 2) < 0.5, 1, -1)
     else:
         raise KeyError(f"unknown theta kind {theta_kind!r}")
     if name == "paninski":
@@ -158,7 +158,8 @@ class Protocol:
     constants block, else `default` (None for a protocol without a constant).
 
     default_n(k, ell, eps, c) is the player count of a cell without n;
-    run(p, ell, eps, n, rng, coins, c) plays one trial and returns the referee's
+    run(p, ell, eps, n, streams, c) plays one trial on the trial's streams (it
+    reads only the streams its tester draws from) and returns the referee's
     verdict; ladder holds calibrate's candidate values of c, smallest first.
     `trial` is the one place that resolves c and n and calls run.
     """
@@ -177,37 +178,37 @@ class Protocol:
         """The cell's n if given, else this protocol's default at constant c."""
         return cell.n if cell.n is not None else self.default_n(cell.k, cell.ell, cell.eps, c)
 
-    def trial(self, p: Pmf, cell: Cell, rng, coins: PublicCoins, constants: dict | None = None) -> tuple[int, Verdict]:
+    def trial(self, p: Pmf, cell: Cell, streams: TrialStreams, constants: dict | None = None) -> tuple[int, Verdict]:
         """One trial on p at the cell: (the n it ran at, the referee's verdict)."""
         c = self.constant(constants)
         n = self.n_for(cell, c)
-        return n, self.run(p, cell.ell, cell.eps, n, rng, coins, c)
+        return n, self.run(p, cell.ell, cell.eps, n, streams, c)
 
 
 PROTOCOLS = {
     "smooth": Protocol(
         lambda k, ell, eps, c: pu.SmoothSchedule.from_params(k, ell, eps, c_l2=c).total_players,
-        lambda p, ell, eps, n, rng, coins, c: pu.smooth_protocol(p, ell, eps, n, coins, rng, c_l2=c),
+        lambda p, ell, eps, n, s, c: pu.smooth_protocol(p, ell, eps, n, s.coins, s.protocol, c_l2=c),
         "c_l2", testers.C_L2_DEFAULT, tuple(1.0 * 1.5**i for i in range(8)),
     ),
     "levin": Protocol(
         lambda k, ell, eps, c: pu.LevinSchedule.from_params(k, ell, eps, c).total_players,
-        lambda p, ell, eps, n, rng, coins, c: pu.levin_protocol(p, ell, eps, coins, rng, c=c, n=n),
+        lambda p, ell, eps, n, s, c: pu.levin_protocol(p, ell, eps, s.coins, s.protocol, c=c, n=n),
         "levin_scale", 1.0, tuple(0.25 * 1.4**i for i in range(10)),
     ),
     "warmup": Protocol(
         lambda k, ell, eps, c: pu.warmup_players(k, eps, c),
-        lambda p, ell, eps, n, rng, coins, c: pu.warmup_protocol(p, eps, n, coins, rng, c=c),
+        lambda p, ell, eps, n, s, c: pu.warmup_protocol(p, eps, n, s.coins, s.protocol, c=c),
         "warmup_c", pu.WARMUP_C, tuple(2.0 * 1.5**i for i in range(8)),
     ),
     "private-si": Protocol(
         lambda k, ell, eps, c: infer.si_uniformity_players(k, ell, eps, c=c),
-        lambda p, ell, eps, n, rng, coins, c: infer.si_uniformity_protocol(p, ell, eps, n, rng, c=c),
+        lambda p, ell, eps, n, s, c: infer.si_uniformity_protocol(p, ell, eps, n, s.protocol, c=c),
         "c_uniformity", testers.C_UNIFORMITY_DEFAULT, tuple(0.75 * 1.5**i for i in range(8)),
     ),
     "flying-pony": Protocol(
         lambda k, ell, eps, c: infer.FLYING_PONY_C * k,
-        lambda p, ell, eps, n, rng, coins, c: infer.flying_pony_protocol(p, n, rng),
+        lambda p, ell, eps, n, s, c: infer.flying_pony_protocol(p, n, s.protocol),
     ),
 }
 
@@ -303,8 +304,7 @@ class TrialReport:
     )
 
     def csv_row(self) -> list:
-        d = asdict(self)
-        return [d[f] for f in self.CSV_FIELDS]
+        return [getattr(self, f) for f in self.CSV_FIELDS]
 
 
 @dataclass
@@ -336,9 +336,9 @@ class ExperimentResult:
 
 def run_trial(cfg: ExperimentConfig, cell_index: int, trial_index: int) -> TrialReport:
     cell = cfg.grid[cell_index]
-    inst_rng, rng, coins = trial_streams(cfg.master_seed, cell_index, trial_index)
-    p, expected = make_instance(cfg.instance, cell.k, cell.eps, inst_rng)
-    n, verdict = PROTOCOLS[cfg.protocol].trial(p, cell, rng, coins, cfg.constants)
+    streams = TrialStreams(cfg.master_seed, cell_index, trial_index)
+    p, expected = make_instance(cfg.instance, cell.k, cell.eps, streams)
+    n, verdict = PROTOCOLS[cfg.protocol].trial(p, cell, streams, cfg.constants)
     return TrialReport(
         cell=cell_index,
         trial=trial_index,

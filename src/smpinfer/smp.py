@@ -12,16 +12,18 @@ messages, so referees read message counts: a public-coin draw returns its
 message map, and `play` draws the message counts of n players under it.
 
 Randomness discipline: everything derives from a master seed.  A trial is one
-protocol run, and `trial_streams(master seed, cell, trial)` splits its keyed
-seed into three streams: instance draws, the protocol's own draws (players and
-referee), and the public coins, whose draws are charged at their encoding
-length.
+protocol run, and `TrialStreams(master seed, cell, trial)` holds the three
+streams of its keyed seed: instance draws, the protocol's own draws (players
+and referee), and the public coins, whose draws are charged at their encoding
+length.  Each stream is built on first use, so a trial pays only for the
+streams it reads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,10 +32,10 @@ from .dist import Partition, Pmf, flatten
 __all__ = [
     "Verdict",
     "PublicCoins",
+    "TrialStreams",
     "indicator",
     "play",
     "trial_seed_seq",
-    "trial_streams",
 ]
 
 # Stream namespaces under the master seed.  Every derived seed depends on
@@ -46,19 +48,23 @@ _NS_TRIAL = 3
 class PublicCoins:
     """Shared randomness: one seeded stream that players and referee all read.
 
-    bits_used charges each structured draw at its encoding length.
+    bits_used charges each structured draw at its encoding length.  Each draw
+    checks its arguments and returns a map it built itself, so the map skips
+    Partition's validation.
     """
 
     seed_seq: np.random.SeedSequence
     bits_used: int = 0
 
-    def __post_init__(self):
-        self._rng = np.random.default_rng(self.seed_seq)
+    @cached_property
+    def _rng(self) -> np.random.Generator:
+        # Built on the first draw: coins that are never drawn cost nothing.
+        return np.random.default_rng(self.seed_seq)
 
     def balanced_partition(self, k: int, L: int) -> Partition:
         """Uniformly random partition of [k] into L parts, sizes differing by <= 1."""
-        if L > k:
-            raise ValueError("need L <= k")
+        if not 1 <= L <= k:
+            raise ValueError("need 1 <= L <= k")
         perm = self._rng.permutation(k)
         # Part r takes the next sizes[r] symbols of perm; the first k mod L parts get one extra.
         sizes = np.full(L, k // L, dtype=np.int64)
@@ -66,7 +72,7 @@ class PublicCoins:
         assign = np.empty(k, dtype=np.int64)
         assign[perm] = np.repeat(np.arange(L), sizes)
         self.bits_used += k * max(1, math.ceil(math.log2(L)) if L > 1 else 1)
-        return Partition(k=k, L=L, assign=assign)
+        return Partition._trusted(k, L, assign)
 
     def subset(self, k: int, s: int) -> Partition:
         """Uniformly random s-subset S of [k], as the map x -> 1-based position in S, else 0."""
@@ -76,10 +82,12 @@ class PublicCoins:
         self.bits_used += s * max(1, math.ceil(math.log2(k)) if k > 1 else 1)
         assign = np.zeros(k, dtype=np.int64)
         assign[members] = np.arange(1, s + 1)
-        return Partition(k=k, L=s + 1, assign=assign)
+        return Partition._trusted(k, s + 1, assign)
 
     def element(self, k: int) -> Partition:
         """Uniformly random element x of [k], as the one-bit indicator map of x."""
+        if k < 1:
+            raise ValueError("need k >= 1")
         x = int(self._rng.integers(k))
         self.bits_used += max(1, math.ceil(math.log2(k)) if k > 1 else 1)
         return indicator(k, x)
@@ -87,7 +95,11 @@ class PublicCoins:
 
 def indicator(k: int, x: int) -> Partition:
     """The one-bit message map that sends 1 iff the sample is x."""
-    return Partition(k=k, L=2, assign=np.arange(k) == x)
+    if not 0 <= x < k:
+        raise ValueError("need 0 <= x < k")
+    assign = np.zeros(k, dtype=np.int64)
+    assign[x] = 1
+    return Partition._trusted(k, 2, assign)
 
 
 def play(p: Pmf, part: Partition, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -95,17 +107,37 @@ def play(p: Pmf, part: Partition, n: int, rng: np.random.Generator) -> np.ndarra
     return rng.multinomial(n, flatten(p, part).probs)
 
 
-def trial_seed_seq(master_seed: int, cell_index: int, trial_index: int) -> np.random.SeedSequence:
-    """Per-trial seed: a keyed derivation of (master seed, cell, trial)."""
-    return np.random.SeedSequence(master_seed, spawn_key=(_NS_TRIAL, cell_index, trial_index))
+def trial_seed_seq(master_seed: int, cell_index: int, trial_index: int, *stream: int) -> np.random.SeedSequence:
+    """Per-trial seed: a keyed derivation of (master seed, cell, trial).  With a
+    stream index i it is the trial seed's child i, the seed that
+    trial_seed_seq(master_seed, cell_index, trial_index).spawn(i + 1)[i] gives."""
+    return np.random.SeedSequence(master_seed, spawn_key=(_NS_TRIAL, cell_index, trial_index, *stream))
 
 
-def trial_streams(
-    master_seed: int, cell_index: int, trial_index: int
-) -> tuple[np.random.Generator, np.random.Generator, PublicCoins]:
-    """One trial's (instance rng, protocol rng, public coins), spawned in that order."""
-    inst_ss, proto_ss, coin_ss = trial_seed_seq(master_seed, cell_index, trial_index).spawn(3)
-    return np.random.default_rng(inst_ss), np.random.default_rng(proto_ss), PublicCoins(coin_ss)
+class TrialStreams:
+    """One trial's three streams: `instance` draws, the `protocol`'s own draws
+    (players and referee) and the public `coins`.
+
+    Stream i is built on first use from the trial seed's child i,
+    trial_seed_seq(master_seed, cell_index, trial_index, i), without building
+    the parent or the other children.  So a stream the trial never reads costs
+    nothing, and the order of first use changes no draw.
+    """
+
+    def __init__(self, master_seed: int, cell_index: int, trial_index: int):
+        self._key = (master_seed, cell_index, trial_index)
+
+    @cached_property
+    def instance(self) -> np.random.Generator:
+        return np.random.default_rng(trial_seed_seq(*self._key, 0))
+
+    @cached_property
+    def protocol(self) -> np.random.Generator:
+        return np.random.default_rng(trial_seed_seq(*self._key, 1))
+
+    @cached_property
+    def coins(self) -> PublicCoins:
+        return PublicCoins(trial_seed_seq(*self._key, 2))
 
 
 def public_coins(master_seed: int, *key: int) -> PublicCoins:

@@ -21,13 +21,13 @@ def _verdict(p, right: bool, n: int) -> Verdict:
     return Verdict(decision=expect if right else wrong, diagnostics={"players_used": n})
 
 
-def _run_dummy_const(p, ell, eps, n, rng, coins, c):
+def _run_dummy_const(p, ell, eps, n, streams, c):
     return _verdict(p, n >= DUMMY_N, n)
 
 
-def _run_half_uniform(p, ell, eps, n, rng, coins, c):
+def _run_half_uniform(p, ell, eps, n, streams, c):
     # The far side is always right, so a pooled success rate stays near 3/4 at any n.
-    return _verdict(p, not _is_uniform(p) or n >= HALF_N or rng.random() < 0.5, n)
+    return _verdict(p, not _is_uniform(p) or n >= HALF_N or streams.protocol.random() < 0.5, n)
 
 
 @pytest.fixture

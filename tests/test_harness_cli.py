@@ -1,6 +1,7 @@
 """Experiment harness and CLI front door."""
 
 import csv
+import hashlib
 import io
 import json
 
@@ -27,7 +28,7 @@ from smpinfer.harness import (
 from smpinfer.identity import identity_test_via_uniformity
 from smpinfer.infer import si_learning_players
 from smpinfer.public_uniformity import warmup_players
-from smpinfer.smp import trial_streams
+from smpinfer.smp import TrialStreams
 
 TESTERS = ("smooth", "levin", "warmup", "private-si", "flying-pony")
 CELL_8 = {"k": 8, "ell": 2, "eps": 0.4}
@@ -154,22 +155,24 @@ class TestExperimentConfig:
 
 class TestInstances:
     def test_uniform(self):
-        p, expected = make_instance({"name": "uniform"}, 8, 0.3, np.random.default_rng(0))
+        streams = TrialStreams(0, 0, 0)
+        p, expected = make_instance({"name": "uniform"}, 8, 0.3, streams)
         assert expected == "accept_uniform" and np.allclose(p.probs, 1 / 8)
+        assert "instance" not in vars(streams)  # a uniform instance never builds its stream
 
     def test_paninski_patterns(self):
         for kind in ("alternating", "neg-alternating", "ones", "neg-ones", "random"):
             p, expected = make_instance(
-                {"name": "paninski", "theta": kind}, 8, 0.3, np.random.default_rng(1)
+                {"name": "paninski", "theta": kind}, 8, 0.3, TrialStreams(1, 0, 0)
             )
             assert expected == "reject"
             assert tv(p, uniform(8)) == pytest.approx(0.3, abs=1e-12)
 
     def test_unknown_keys(self):
         with pytest.raises(KeyError):
-            make_instance({"name": "nope"}, 8, 0.3, np.random.default_rng(0))
+            make_instance({"name": "nope"}, 8, 0.3, TrialStreams(0, 0, 0))
         with pytest.raises(KeyError):
-            make_instance({"name": "paninski", "theta": "spiral"}, 8, 0.3, np.random.default_rng(0))
+            make_instance({"name": "paninski", "theta": "spiral"}, 8, 0.3, TrialStreams(0, 0, 0))
 
 
 class TestRunExperiment:
@@ -211,6 +214,32 @@ class TestRunExperiment:
                            grid=({"k": 8, "ell": 2, "eps": 0.4, "n": 50_000},))
         for r in run_experiment(cfg).reports:
             assert r.players_used <= 50_000
+
+
+# sha256 of run_experiment(cfg).to_csv() and .to_json() for GOLDEN_GRID, trials 4,
+# master seed 12.  Any change to a random stream changes them: a change that
+# means to alter the streams updates these hashes and says why.
+GOLDEN_GRID = ({"k": 16, "ell": 2, "eps": 0.4}, {"k": 32, "ell": 3, "eps": 0.3})
+GOLDEN = {
+    ("smooth", "uniform"): ("cc3dc85b12dd96eb3a36f709029ea669be4c69554dc047f75fede0f86d13db71", "bad0f19bb41125e7c4f08270ef5af0f1fd568a4fd3ebe692f95af59513e1e836"),
+    ("smooth", "paninski"): ("a35d499e4996cb7c38160b8a4a068536ce064d65d945f48bc690c1750f500e3f", "bad0f19bb41125e7c4f08270ef5af0f1fd568a4fd3ebe692f95af59513e1e836"),
+    ("levin", "uniform"): ("ccf1ee6b1148fd73f2c129e571dd76b944f18f5af02bab22ac84ca272c9749ca", "07715ae8f93da527e34fb9ab4508c02b90da005edcb4aec1cad85c22c3a7112b"),
+    ("levin", "paninski"): ("81ef03dd118e0fc56e96513efd97c2530270a0f505b8b92c03a5b8c987da038d", "07715ae8f93da527e34fb9ab4508c02b90da005edcb4aec1cad85c22c3a7112b"),
+    ("warmup", "uniform"): ("cebedef7b58d0275bbc0c1573ba08a92782cd852e10a8bc0cb029794f8fae28e", "043a9f4aec1ea2515fae6fec9c3801659b6aa04f7950f5bbc4ebd5b8b7c142ef"),
+    ("warmup", "paninski"): ("1ac8707ee43e24e207eb6173fc9783ab5e2ad80b7038d6fd8f6dc6d9b02f2d96", "043a9f4aec1ea2515fae6fec9c3801659b6aa04f7950f5bbc4ebd5b8b7c142ef"),
+    ("private-si", "uniform"): ("97670e50ecf2834429c3ab0358bda20d61874d575c73417982a65701ba12e630", "f9211a66a4a4a09d485b75d4beda2cdb5b61132e76e76f687c4e71aa8984d0d8"),
+    ("private-si", "paninski"): ("364b66cb90b170e9d98a809c199a415e20766090b5a3efcc04520d47d20cc763", "5cdf6f055c8f5d380e3ac270b57d4ff25811855df08bc43a79d7b5e33b7ecf9f"),
+    ("flying-pony", "uniform"): ("ee228ec890909eb63e7be5cd896937a7cb8475106e1c38b252b2b30a462be403", "7ed46f724519b0cde2bcabe7384805a0c4eb77e3e62bd9c7051f96d7772f59a1"),
+    ("flying-pony", "paninski"): ("2e47740f83747f7f973881b8ef62ce369fac29e69ee9eb384f8e085e7192e583", "3bc0717e83ac609f75fe1cd5f29c6c9425c0111e04a63cf4f5ecbb1443b070b2"),
+}
+
+
+@pytest.mark.parametrize("protocol, instance", list(GOLDEN))
+def test_golden_experiment_output(protocol, instance):
+    spec = {"name": "uniform"} if instance == "uniform" else {"name": instance, "theta": "random"}
+    res = run_experiment(ExperimentConfig(protocol=protocol, instance=spec, grid=GOLDEN_GRID, trials=4, master_seed=12))
+    hashes = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (res.to_csv(), res.to_json()))
+    assert hashes == GOLDEN[protocol, instance]
 
 
 class TestCalibrate:
@@ -429,12 +458,11 @@ class TestCli:
         row = json.loads(capsys.readouterr().out)
         assert row["mapped_domain"] == 40
         # The command is the reduction run on trial (0, 0)'s streams at master seed 1.
-        _, rng, coins = trial_streams(1, 0, 0)
         proto = PROTOCOLS[protocol]
         verdict = identity_test_via_uniformity(
             uniform(8), q, 3, 0.4,
-            lambda mapped, ell, eps, rng, coins: proto.trial(mapped, Cell(mapped.k, ell, eps), rng, coins)[1],
-            {"rng": rng, "coins": coins},
+            lambda mapped, ell, eps, streams: proto.trial(mapped, Cell(mapped.k, ell, eps), streams)[1],
+            {"streams": TrialStreams(1, 0, 0)},
         )
         decision = {"accept_uniform": "accept_identity", "reject": "reject"}[verdict.decision]
         assert (row["decision"], row["players_used"], row.get("public_bits")) == (

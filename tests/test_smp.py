@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smpinfer.dist import Pmf, flatten
-from smpinfer.smp import Verdict, indicator, play, public_coins, trial_seed_seq, trial_streams
+from smpinfer.dist import Partition, Pmf, flatten
+from smpinfer.smp import PublicCoins, TrialStreams, Verdict, indicator, play, public_coins, trial_seed_seq
 
 
 class TestPublicCoins:
@@ -56,6 +56,36 @@ class TestPublicCoins:
     def test_partition_requires_L_le_k(self):
         with pytest.raises(ValueError):
             public_coins(0).balanced_partition(3, 4)
+
+    def test_partition_requires_a_part(self):
+        with pytest.raises(ValueError, match="1 <= L"):
+            public_coins(0).balanced_partition(4, 0)
+
+    def test_element_requires_a_symbol(self):
+        with pytest.raises(ValueError, match="k >= 1"):
+            public_coins(0).element(0)
+
+    @pytest.mark.parametrize("x", [8, 9, -1])
+    def test_indicator_requires_a_symbol_of_the_alphabet(self, x):
+        with pytest.raises(ValueError, match="0 <= x < k"):
+            indicator(8, x)
+
+    def test_coin_maps_are_valid_partitions(self):
+        # Coin draws skip Partition's validation; every map they return must pass it.
+        # (k, L, s) cells cover odd k, L = k, s = 1, s = k and k = 1.
+        cells = ((7, 3, 1), (9, 9, 9), (16, 4, 5), (15, 15, 1), (12, 5, 12), (1, 1, 1), (2, 2, 1))
+        for seed in range(200):
+            coins = public_coins(seed, 7)
+            for k, L, s in cells:
+                balanced, subset, element = coins.balanced_partition(k, L), coins.subset(k, s), coins.element(k)
+                for part, parts in ((balanced, L), (subset, s + 1), (element, 2)):
+                    again = Partition(k, parts, part.assign)
+                    assert (part.k, part.L) == (k, parts)
+                    assert part.assign.dtype == np.int64 and np.array_equal(again.assign, part.assign)
+                    assert not part.assign.flags.writeable
+                assert balanced.balanced
+                assert np.sort(subset.assign[subset.assign > 0]).tolist() == list(range(1, s + 1))
+                assert np.count_nonzero(element.assign) == 1
 
 
 def zero_mass_pmf(rng, k, zeros):
@@ -119,11 +149,23 @@ class TestStreams:
 
     def test_trial_streams_spawn_order(self):
         # Instance, protocol and coin streams are the trial seed's three children, in that order.
-        inst, rng, coins = trial_streams(1, 2, 3)
+        streams = TrialStreams(1, 2, 3)
         children = trial_seed_seq(1, 2, 3).spawn(3)
-        assert inst.random() == np.random.default_rng(children[0]).random()
-        assert rng.random() == np.random.default_rng(children[1]).random()
+        assert streams.instance.random() == np.random.default_rng(children[0]).random()
+        assert streams.protocol.random() == np.random.default_rng(children[1]).random()
+        coins = streams.coins
         assert coins.seed_seq.spawn_key == children[2].spawn_key and coins.bits_used == 0
+
+    @pytest.mark.parametrize("key", [(1, 2, 3), (0, 0, 0), (2**40, 7, 11)])
+    def test_order_of_first_use_does_not_matter(self, key):
+        # Coins first, then protocol, then instance: each stream draws what an
+        # eager generator on the same child of the spawned trial seed draws.
+        streams = TrialStreams(*key)
+        children = trial_seed_seq(*key).spawn(3)
+        eager = PublicCoins(children[2])
+        assert streams.coins.subset(16, 5).assign.tolist() == eager.subset(16, 5).assign.tolist()
+        assert streams.protocol.random(4).tolist() == np.random.default_rng(children[1]).random(4).tolist()
+        assert streams.instance.random(4).tolist() == np.random.default_rng(children[0]).random(4).tolist()
 
 
 class TestVerdict:
