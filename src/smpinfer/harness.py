@@ -39,6 +39,7 @@ __all__ = [
 SCHEMA_VERSION = 1
 N_CAP = 50_000_000
 MAX_ERROR = 1.0 / 3.0  # the per-side error every tester guarantees
+SIDES = ({"name": "uniform"}, {"name": "paninski", "theta": "random"})  # a search's sides; side 1 is far
 # Phi^-1(0.975), correctly rounded; the persisted Wilson bounds depend on its last digit.
 Z_95 = 1.959963984540054
 
@@ -60,40 +61,26 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def make_instance(spec: dict, k: int, eps: float, streams: TrialStreams) -> tuple[Pmf, str]:
-    """Build the trial's distribution; returns (pmf, expected verdict).
+# A paninski or flying_pony theta kind: its +-1 pattern, repeated to length k/2;
+# "random" draws theta from the trial's instance stream, the only spec that reads it.
+THETAS = {"alternating": [1, -1], "neg-alternating": [-1, 1], "ones": [1], "neg-ones": [-1], "random": None}
+_THETA_INSTANCES = {
+    "paninski": lambda k, eps, theta: paninski(PaninskiParam(k=k, eps=eps, theta=theta)),
+    "flying_pony": lambda k, eps, theta: flying_pony(k, theta),
+}
 
-    spec["name"] in {uniform, paninski, flying_pony, pmf_file}; paninski /
-    flying_pony theta is "alternating", "ones", their "neg-" negations, or
-    "random" (drawn from the trial's instance stream, the only spec that reads it).
-    """
+
+def make_instance(spec: dict, k: int, eps: float, streams: TrialStreams) -> tuple[Pmf, str]:
+    """(pmf, expected verdict) of a spec that ExperimentConfig validated; else a KeyError."""
     name = spec.get("name", "uniform")
     if name == "uniform":
         return uniform(k), "accept_uniform"
     if name == "pmf_file":
         with open(spec["path"]) as fh:
-            p = Pmf.from_json(fh.read())
-        if p.k != k:
-            raise ValueError(f"pmf_file {spec['path']!r} has k={p.k}, but the cell has k={k}")
-        return p, spec.get("expected", "reject")
-    theta_kind = spec.get("theta", "random")
-    if theta_kind == "alternating":
-        theta = np.resize([1, -1], k // 2)
-    elif theta_kind == "neg-alternating":
-        theta = np.resize([-1, 1], k // 2)
-    elif theta_kind == "ones":
-        theta = np.ones(k // 2, dtype=np.int64)
-    elif theta_kind == "neg-ones":
-        theta = -np.ones(k // 2, dtype=np.int64)
-    elif theta_kind == "random":
-        theta = np.where(streams.instance.random(k // 2) < 0.5, 1, -1)
-    else:
-        raise KeyError(f"unknown theta kind {theta_kind!r}")
-    if name == "paninski":
-        return paninski(PaninskiParam(k=k, eps=eps, theta=theta)), "reject"
-    if name == "flying_pony":
-        return flying_pony(k, theta), "reject"
-    raise KeyError(f"unknown instance {name!r}")
+            return Pmf.from_json(fh.read()), spec.get("expected", "reject")
+    build, kind = _THETA_INSTANCES[name], spec.get("theta", "random")
+    theta = np.where(streams.instance.random(k // 2) < 0.5, 1, -1) if kind == "random" else np.resize(THETAS[kind], k // 2)
+    return build(k, eps, theta), "reject"
 
 
 # ---------------------------------------------------------------------------
@@ -119,25 +106,25 @@ def _check_integer(name: str, value) -> None:
 class Cell:
     """One grid cell: alphabet size k, message bits ell, distance eps, players n.
 
-    eps and n are optional; a cell without n runs at its protocol's default.
+    n is optional; a cell without n runs at its protocol's default.
     Validated on construction, so build cells where input enters, not per trial.
     """
 
     k: int
     ell: int
-    eps: float | None = None
+    eps: float
     n: int | None = None
 
     def __post_init__(self):
         for name in ("k", "ell", "n"):
             _check_integer(name, getattr(self, name))
-        if self.eps is not None and not isinstance(self.eps, numbers.Real):
+        if not isinstance(self.eps, numbers.Real):
             raise ValueError("eps must be a real number")
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.ell < 1:
             raise ValueError("ell must be >= 1")
-        if self.eps is not None and not 0 < self.eps < 1:
+        if not 0 < self.eps < 1:
             raise ValueError("eps must lie in (0,1)")
         if self.n is not None and self.n < 1:
             raise ValueError("n must be >= 1")
@@ -145,10 +132,10 @@ class Cell:
     @classmethod
     def from_dict(cls, d: dict) -> "Cell":
         check_keys("cell", d, ("k", "ell", "eps", "n"))
-        return cls(k=d["k"], ell=d["ell"], eps=d.get("eps"), n=d.get("n"))
+        return cls(k=d["k"], ell=d["ell"], eps=d["eps"], n=d.get("n"))
 
     def to_dict(self) -> dict:
-        """The fields that were given (eps and n are omitted when None)."""
+        """The fields that were given (n is omitted when None)."""
         return {key: value for key, value in asdict(self).items() if value is not None}
 
 
@@ -237,9 +224,10 @@ def _check_constants(constants) -> None:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """`trials` seeded trials per grid cell; dict cells are validated here into Cells,
-    the instance spec's keys against INSTANCE_KEYS and the constants block by
-    `_check_constants`.  `from_json` also rejects unknown top-level keys."""
+    """`trials` seeded trials per grid cell: the one check of a run's spec, made
+    before any trial.  Dict cells are validated here into Cells, the instance
+    spec against every cell and the constants block by `_check_constants`.
+    `from_json` also rejects unknown top-level keys."""
 
     INSTANCE_KEYS = ("name", "theta", "path", "expected")
     JSON_KEYS = ("schema_version", "protocol", "instance", "grid", "trials", "master_seed", "constants")
@@ -253,18 +241,31 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if not self.grid:
-            raise KeyError("grid must be non-empty")
+            raise ValueError("grid must be non-empty")
         _check_integer("trials", self.trials)
         _check_integer("master_seed", self.master_seed)
         if self.trials < 1:
-            raise KeyError("trials must be >= 1")
+            raise ValueError("trials must be >= 1")
         if self.protocol not in PROTOCOLS:
-            raise KeyError(f"unknown protocol {self.protocol!r}")
-        check_keys("instance", self.instance, self.INSTANCE_KEYS)
+            raise ValueError(f"unknown protocol {self.protocol!r}")
         _check_constants(self.constants)
         grid = tuple(c if isinstance(c, Cell) else Cell.from_dict(c) for c in self.grid)
-        if any(c.eps is None for c in grid):
-            raise KeyError("every grid cell needs eps")
+        check_keys("instance", self.instance, self.INSTANCE_KEYS)
+        spec, name = self.instance, self.instance.get("name", "uniform")
+        for key, value, known in (("name", name, ("uniform", "pmf_file", *_THETA_INSTANCES)),
+                                  ("theta", spec.get("theta", "random"), tuple(THETAS)),
+                                  ("expected", spec.get("expected", "reject"), ("accept_uniform", "reject"))):
+            if value not in known:
+                raise ValueError(f"unknown instance {key} {value!r}; known are {sorted(known)}")
+        if name == "pmf_file":
+            with open(spec["path"]) as fh:
+                k = Pmf.from_json(fh.read()).k
+            if any(c.k != k for c in grid):
+                raise ValueError(f"pmf_file {spec['path']!r} has k={k}, but every cell must have that k")
+        if name in _THETA_INSTANCES and any(c.k % 2 for c in grid):
+            raise ValueError(f"a {name} instance needs an even k in every cell")
+        if name == "paninski" and any(c.eps > 0.5 for c in grid):
+            raise ValueError("a paninski instance needs eps <= 1/2 in every cell")
         object.__setattr__(self, "grid", grid)
 
     @classmethod
@@ -272,7 +273,7 @@ class ExperimentConfig:
         obj = json.loads(text)
         check_keys("config", obj, cls.JSON_KEYS)
         if obj.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
-            raise KeyError(f"unsupported schema_version {obj.get('schema_version')!r}")
+            raise ValueError(f"unsupported schema_version {obj.get('schema_version')!r}")
         return cls(
             protocol=obj["protocol"],
             instance=obj.get("instance", {"name": "uniform"}),
@@ -397,14 +398,8 @@ def _cell_error(protocol: str, cell: Cell, constants: dict | None, trials: int, 
     """The larger side error at the cell: `trials` trials on uniform, then on a
     random paninski instance, at master seed seed * 2 + side.  A side's error is
     wrong / trials, which is exact at a boundary such as 1/3."""
-    errors = []
-    for side, inst in enumerate(({"name": "uniform"}, {"name": "paninski", "theta": "random"})):
-        cfg = ExperimentConfig(
-            protocol=protocol, instance=inst, grid=(cell,), trials=trials,
-            master_seed=seed * 2 + side, constants=constants,
-        )
-        errors.append(sum(not r.correct for r in run_experiment(cfg).reports) / trials)
-    return max(errors)
+    configs = (ExperimentConfig(protocol, inst, (cell,), trials, seed * 2 + side, constants) for side, inst in enumerate(SIDES))
+    return max(sum(not r.correct for r in run_experiment(cfg).reports) / trials for cfg in configs)
 
 
 def calibrate(
@@ -417,20 +412,18 @@ def calibrate(
     """Smallest ladder constant whose error on each side of every cell is <= target_error.
 
     budget is trials per candidate per cell side; the result dict is a
-    constants file payload with provenance metadata.  The target and the grid
-    are validated before any trial runs.
+    constants file payload with provenance metadata.  The target and the
+    search's far-side config are validated before any trial runs.
     """
     if isinstance(target_error, bool) or not isinstance(target_error, numbers.Real) or not 0 < target_error < 1:
         raise ValueError(f"target error must be a real number in (0,1), got {target_error!r}")
+    if not isinstance(grid, (list, tuple)):
+        raise ValueError("grid must be a list of cells")
+    cells = ExperimentConfig(protocol, SIDES[1], tuple(grid), budget, master_seed * 2 + 1).grid
     if budget < 100:
-        raise KeyError("budget must be >= 100 trials per candidate")
-    if protocol not in PROTOCOLS or not PROTOCOLS[protocol].ladder:
-        raise KeyError(f"no calibration ladder for protocol {protocol!r}")
-    if not isinstance(grid, (list, tuple)) or not grid:
-        raise ValueError("grid must be a non-empty list of cells")
-    cells = [Cell.from_dict(d) for d in grid]
-    if any(c.eps is None for c in cells):
-        raise ValueError("every grid cell needs eps")
+        raise ValueError("budget must be >= 100 trials per candidate")
+    if not PROTOCOLS[protocol].ladder:
+        raise ValueError(f"no calibration ladder for protocol {protocol!r}")
     key = PROTOCOLS[protocol].key
     errors = {}
     for value in PROTOCOLS[protocol].ladder:
@@ -459,6 +452,14 @@ def calibrate(
 # ---------------------------------------------------------------------------
 
 
+def _search_config(protocol: str, cells, trials: int, seed: int, constants) -> ExperimentConfig:
+    """The far-side config of minimal-n searches over cells: their spec check."""
+    _check_integer("trials", trials)
+    if trials < 2:
+        raise ValueError("trials must be >= 2: each side runs trials // 2")
+    return ExperimentConfig(protocol, SIDES[1], tuple(cells), trials // 2, seed * 2 + 1, constants)
+
+
 def minimal_n(
     protocol: str,
     k: int,
@@ -471,10 +472,10 @@ def minimal_n(
 ) -> dict:
     """Geometric bracket + bisection for the smallest n whose error is <= MAX_ERROR
     on each side, over trials // 2 trials per side."""
-    # The protocol's default n is the starting upper guess.
-    _check_constants(constants)
+    (cell,) = _search_config(protocol, [Cell(k, ell, eps)], trials, seed, constants).grid
     proto = PROTOCOLS[protocol]
-    n_hi = min(proto.n_for(Cell(k, ell, eps), proto.constant(constants)), n_cap)
+    # The protocol's default n is the starting upper guess.
+    n_hi = min(proto.n_for(cell, proto.constant(constants)), n_cap)
     row = {"protocol": protocol, "k": k, "ell": ell, "eps": eps}
 
     def passes(n: int, at_seed: int) -> bool:
@@ -514,7 +515,9 @@ def scaling_report(
 ) -> dict:
     """Minimal-n estimates over k plus a least-squares log-log slope per protocol."""
     if len(k_grid) < 3:
-        raise KeyError("need at least 3 alphabet sizes")
+        raise ValueError("need at least 3 alphabet sizes")
+    for proto in protocol_ids:
+        _search_config(proto, [Cell(k, ell, eps) for k in k_grid], trials, seed, constants)
     table = []
     slopes = {}
     for proto in protocol_ids:

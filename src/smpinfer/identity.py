@@ -61,13 +61,13 @@ def map_sample(gmap: GoldreichMap, x: int, rng: np.random.Generator) -> int:
 def map_pmf(gmap: GoldreichMap, p: Pmf) -> Pmf:
     """The exact pushforward F_q(p) over [5k]."""
     out = np.zeros(gmap.m)
-    q, alloc, start = gmap.q.probs, gmap.alloc, gmap.start
+    q, alloc = gmap.q.probs, gmap.alloc
     own = (q > 0) & (alloc > 0)
     per_bucket = np.zeros(gmap.q.k)
     per_bucket[own] = p.probs[own] / (gmap.m * q[own])
     overflow = 1.0 - float(np.sum(alloc[own] * per_bucket[own]))
-    for x in np.flatnonzero(own):
-        out[start[x] : start[x] + alloc[x]] = per_bucket[x]
+    # Each symbol's buckets follow the last; alloc > 0 implies q > 0, so no bucket is lost.
+    out[: gmap.slack_start] = np.repeat(per_bucket, alloc)
     if gmap.slack > 0:
         out[gmap.slack_start :] = overflow / gmap.slack
     elif overflow > 1e-12:

@@ -44,6 +44,11 @@ _NS_PUBLIC = 0
 _NS_TRIAL = 3
 
 
+def _draw_bits(m: int) -> int:
+    """The encoding length of one uniform draw from m values: ceil(log2 m), at least 1."""
+    return max(1, math.ceil(math.log2(m)))
+
+
 @dataclass
 class PublicCoins:
     """Shared randomness: one seeded stream that players and referee all read.
@@ -71,7 +76,7 @@ class PublicCoins:
         sizes[: k % L] += 1
         assign = np.empty(k, dtype=np.int64)
         assign[perm] = np.repeat(np.arange(L), sizes)
-        self.bits_used += k * max(1, math.ceil(math.log2(L)) if L > 1 else 1)
+        self.bits_used += k * _draw_bits(L)
         return Partition._trusted(k, L, assign)
 
     def subset(self, k: int, s: int) -> Partition:
@@ -79,7 +84,7 @@ class PublicCoins:
         if not 1 <= s <= k:
             raise ValueError("need 1 <= s <= k")
         members = np.sort(self._rng.choice(k, size=s, replace=False))
-        self.bits_used += s * max(1, math.ceil(math.log2(k)) if k > 1 else 1)
+        self.bits_used += s * _draw_bits(k)
         assign = np.zeros(k, dtype=np.int64)
         assign[members] = np.arange(1, s + 1)
         return Partition._trusted(k, s + 1, assign)
@@ -89,7 +94,7 @@ class PublicCoins:
         if k < 1:
             raise ValueError("need k >= 1")
         x = int(self._rng.integers(k))
-        self.bits_used += max(1, math.ceil(math.log2(k)) if k > 1 else 1)
+        self.bits_used += _draw_bits(k)
         return indicator(k, x)
 
 

@@ -218,22 +218,18 @@ def subgaussian_claim_check(H: HMatrix, lam: float) -> tuple[float, float]:
     return log_mgf, lam**2 * frobenius_sq(H)
 
 
-def paninski_message_tv_bound(
-    W_list: list[Partition],
-    eps: float,
-    rng: np.random.Generator | None = None,
-    theta_trials: int = 200,
-) -> tuple[float, float]:
+def paninski_message_tv_bound(W_list: list[Partition], eps: float) -> tuple[float, float]:
     """E_theta[TV(R^u, R^theta)^2] for 1-bit maps, against the bound 4 eps^2 n / k.
 
     R^p is the product law of the n players' bits when samples are i.i.d. p.
-    Enumerates all 2^n bit vectors; enumerates theta exhaustively when
-    k/2 <= 12, otherwise averages over theta_trials random draws.
+    Enumerates all 2^n bit vectors and all 2^(k/2) thetas, so n and k/2 are at most 12.
     """
     n = len(W_list)
     if n > 12:
         raise ValueError("too many players to enumerate bit vectors")
     k = W_list[0].k
+    if k // 2 > 12:
+        raise ValueError("alphabet too large to enumerate theta")
     if any(W.L != 2 for W in W_list):
         raise ValueError("this bound is for 1-bit maps")
     ones = np.stack([W.assign == 1 for W in W_list]).astype(np.float64)  # (n, k): bit of each symbol
@@ -251,13 +247,7 @@ def paninski_message_tv_bound(
             tv += abs(pu - pt)
         return (tv / 2.0) ** 2
 
-    half = k // 2
-    if half <= 12:
-        vals = [tv_sq(np.array(th)) for th in itertools.product((-1, 1), repeat=half)]
-    else:
-        if rng is None:
-            raise ValueError("rng required for sampled theta")
-        vals = [tv_sq(rng.choice([-1, 1], size=half)) for _ in range(theta_trials)]
+    vals = [tv_sq(np.array(th)) for th in itertools.product((-1, 1), repeat=k // 2)]
     return float(np.mean(vals)), 4.0 * eps**2 * n / k
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from smpinfer import harness
 from smpinfer.cli import _SUITES, main
 from smpinfer.dist import PaninskiParam, Pmf, paninski, tv, uniform
 from smpinfer.harness import (
@@ -63,17 +64,17 @@ class TestWilson:
 class TestCell:
     def test_bounds(self):
         with pytest.raises(ValueError):
-            Cell(k=4, ell=0, n=10)
+            Cell(k=4, ell=0, eps=0.3, n=10)
         with pytest.raises(ValueError):
-            Cell(k=4, ell=1, n=0)
+            Cell(k=4, ell=1, eps=0.3, n=0)
         with pytest.raises(ValueError):
-            Cell.from_dict({"k": 4, "ell": 1, "players": 10})
+            Cell.from_dict({"k": 4, "ell": 1, "eps": 0.3, "players": 10})
         with pytest.raises(ValueError, match="k must be an integer"):
             Cell(k=16.0, ell=2, eps=0.3)
         with pytest.raises(ValueError, match="n must be an integer"):
             Cell(k=16, ell=2, eps=0.3, n=1000.5)
         with pytest.raises(ValueError, match="ell must be an integer"):
-            Cell(k=16, ell=True)
+            Cell(k=16, ell=True, eps=0.3)
         with pytest.raises(ValueError, match="eps must be a real number"):
             Cell(k=16, ell=2, eps="0.3")
 
@@ -91,7 +92,7 @@ class TestCell:
     @given(
         k=st.integers(1, 10**6),
         ell=st.integers(1, 30),
-        eps=st.none() | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        eps=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
         n=st.none() | st.integers(1, 10**9),
         data=st.data(),
     )
@@ -107,15 +108,15 @@ class TestCell:
 
 class TestExperimentConfig:
     def test_validation(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError):
             small_config(grid=())
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError):
             small_config(trials=0)
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError):
             small_config(protocol="astrology")
 
     def test_from_json_schema_check(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError):
             ExperimentConfig.from_json(json.dumps({"schema_version": 99, "protocol": "smooth",
                                                    "grid": [{"k": 8}], "trials": 1}))
 
@@ -254,7 +255,7 @@ class TestCalibrate:
             calibrate("levin", 0.1, [{"k": 8, "ell": 2, "eps": 0.4, "n": 20}], 100)
 
     def test_budget_floor(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError):
             calibrate("smooth", 0.3, [{"k": 8, "ell": 2, "eps": 0.4}], 10)
 
     def test_smooth_ladder(self):
@@ -285,7 +286,7 @@ class TestCalibrate:
 @pytest.mark.usefixtures("control_protocols")
 class TestScaling:
     def test_needs_three_points(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError):
             scaling_report(["dummy-const"], [8, 16], 0.3, 2)
 
     def test_dummy_control_slope_zero(self):
@@ -476,6 +477,100 @@ class TestCli:
         assert main(["scaling", "--config", str(path), "--seed", "0"]) == 0
         rep = json.loads(capsys.readouterr().out)
         assert abs(rep["slopes"]["dummy-const"]) < 0.05
+
+
+# A spec every entry point accepts, and bad specs as overrides of it, each with
+# the entry points it reaches: calibrate and the minimal-n searches fix their
+# instance (uniform, then random paninski), and only an experiment config or a
+# search reads a trials count.
+GOOD_SPEC = {"protocols": ["levin"], "instance": {"name": "paninski", "theta": "random"}, "k": 16, "eps": 0.3,
+             "trials": 4}
+CONFIGS = ("ExperimentConfig", "experiment-cli")
+SEARCHES = ("minimal_n", "scaling_report", "scaling-cli")
+ENTRY_POINTS = (*CONFIGS, "calibrate", *SEARCHES)
+BAD_SPECS = {
+    "unknown-protocol": ({"protocols": ["dummy"]}, ENTRY_POINTS),
+    "unknown-second-protocol": ({"protocols": ["levin", "dummy"]}, ("scaling_report", "scaling-cli")),
+    "unknown-instance": ({"instance": {"name": "gaussian"}}, CONFIGS),
+    "unknown-theta": ({"instance": {"name": "paninski", "theta": "spiral"}}, CONFIGS),
+    "theta-not-a-string": ({"instance": {"name": "paninski", "theta": [1, -1]}}, CONFIGS),
+    "paninski-odd-k": ({"k": 15}, ENTRY_POINTS),
+    "flying-pony-odd-k": ({"k": 15, "instance": {"name": "flying_pony"}}, CONFIGS),
+    "paninski-eps-0.6": ({"eps": 0.6}, ENTRY_POINTS),
+    "pmf-file-wrong-k": ({"instance": {"name": "pmf_file", "path": "k8.json"}}, CONFIGS),
+    "expected-accept": ({"instance": {"name": "pmf_file", "path": "k16.json", "expected": "accept"}}, CONFIGS),
+    "trials-string": ({"trials": "300"}, CONFIGS + SEARCHES),
+    "trials-1": ({"trials": 1}, SEARCHES),
+}
+
+
+class _Reached(Exception):
+    """Raised by the counting run_trial: the spec got as far as a trial."""
+
+
+class TestSpecCheckedBeforeFirstTrial:
+    """Every entry point refuses a bad spec with ValueError (exit 3 through the
+    CLI) before any trial runs."""
+
+    @pytest.fixture
+    def runner(self, tmp_path, monkeypatch):
+        """(enter, calls): enter(entry, spec) runs one entry point on spec in tmp_path,
+        and calls records every run_trial call, each of which raises _Reached."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "k8.json").write_text(uniform(8).to_json())
+        (tmp_path / "k16.json").write_text(uniform(16).to_json())
+        calls = []
+
+        def counting_run_trial(*args):
+            calls.append(args)
+            raise _Reached
+
+        monkeypatch.setattr(harness, "run_trial", counting_run_trial)
+
+        def enter(entry, spec):
+            protocol, k, eps, trials = spec["protocols"][0], spec["k"], spec["eps"], spec["trials"]
+            cell = {"k": k, "ell": 2, "eps": eps}
+            if entry == "ExperimentConfig":
+                run_experiment(ExperimentConfig(protocol, spec["instance"], (cell,), trials, 0))
+            elif entry == "calibrate":
+                calibrate(protocol, 1 / 3, [cell], 100)
+            elif entry == "minimal_n":
+                minimal_n(protocol, k, 2, eps, trials=trials)
+            elif entry == "scaling_report":
+                scaling_report(spec["protocols"], [k, 2 * k, 4 * k], eps, 2, trials=trials)
+            else:
+                if entry == "experiment-cli":
+                    cfg = {"protocol": protocol, "instance": spec["instance"], "grid": [cell], "trials": trials}
+                else:
+                    cfg = {"protocols": spec["protocols"], "k_grid": [k, 2 * k, 4 * k], "eps": eps, "ell": 2,
+                           "trials": trials}
+                (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+                return main([entry.removesuffix("-cli"), "--config", "cfg.json"])
+
+        return enter, calls
+
+    @pytest.mark.parametrize(
+        "case, entry", [(case, entry) for case, (_, entries) in BAD_SPECS.items() for entry in entries]
+    )
+    def test_bad_spec_is_refused(self, case, entry, runner, capsys):
+        enter, calls = runner
+        spec = {**GOOD_SPEC, **BAD_SPECS[case][0]}
+        if entry.endswith("-cli"):
+            assert enter(entry, spec) == 3
+            err = capsys.readouterr().err
+            # A bad value is a ValueError, so its message is not printed as a quoted KeyError.
+            assert err.startswith("config error: ") and not err.startswith(("config error: '", 'config error: "'))
+        else:
+            with pytest.raises(ValueError):
+                enter(entry, spec)
+        assert len(calls) == 0
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_good_spec_reaches_a_trial(self, entry, runner):
+        enter, calls = runner
+        with pytest.raises(_Reached):
+            enter(entry, GOOD_SPEC)
+        assert len(calls) == 1
 
 
 class TestOneTrial:

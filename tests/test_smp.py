@@ -24,6 +24,14 @@ class TestPublicCoins:
         assert part.assign[members].tolist() == [1, 2, 3]
         assert coins.bits_used == 3 * 4
 
+    def test_one_value_draws_cost_one_bit(self):
+        # ceil(log2 1) = 0, but every draw is charged at least one bit.
+        coins = public_coins(0)
+        coins.balanced_partition(5, 1)
+        assert coins.bits_used == 5
+        coins.element(1)
+        assert coins.bits_used == 6
+
     def test_subset_validation(self):
         with pytest.raises(ValueError):
             public_coins(0).subset(4, 0)

@@ -204,6 +204,9 @@ class TestPaninskiTv:
         W = [Partition(4, 2, [1, 0, 0, 0])] * 13
         with pytest.raises(ValueError):
             paninski_message_tv_bound(W, 0.1)
+        # k/2 = 13 is one theta coordinate past exhaustive enumeration.
+        with pytest.raises(ValueError, match="theta"):
+            paninski_message_tv_bound([Partition(26, 2, [1] + [0] * 25)], 0.1)
 
 
 class TestEnumerationOracles:
