@@ -412,6 +412,8 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:  # every subcommand takes --seed
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except (KeyError, FileNotFoundError, ValueError) as exc:  # ValueError covers json.JSONDecodeError
         print(f"config error: {exc}", file=sys.stderr)

@@ -8,6 +8,7 @@ construction.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -122,8 +123,9 @@ class Partition:
         return self.k % self.L == 0 and bool(counts.max() == counts.min())
 
 
+@functools.lru_cache(maxsize=64, typed=True)
 def uniform(k: int) -> Pmf:
-    """The uniform distribution u_k."""
+    """The uniform distribution u_k, built once per k: a Pmf is immutable."""
     if k < 1:
         raise ValueError("k must be >= 1")
     return Pmf(k=k, probs=np.full(k, 1.0 / k))

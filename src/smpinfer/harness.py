@@ -98,7 +98,7 @@ def check_keys(what: str, obj, known) -> None:
 
 
 def _check_integer(name: str, value) -> None:
-    if value is not None and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer")
 
 
@@ -116,8 +116,10 @@ class Cell:
     n: int | None = None
 
     def __post_init__(self):
-        for name in ("k", "ell", "n"):
-            _check_integer(name, getattr(self, name))
+        _check_integer("k", self.k)
+        _check_integer("ell", self.ell)
+        if self.n is not None:
+            _check_integer("n", self.n)
         if not isinstance(self.eps, numbers.Real):
             raise ValueError("eps must be a real number")
         if self.k < 1:
@@ -246,6 +248,8 @@ class ExperimentConfig:
         _check_integer("master_seed", self.master_seed)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be >= 0")
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}")
         _check_constants(self.constants)

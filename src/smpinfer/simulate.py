@@ -2,23 +2,20 @@
 
 The scheme: duplicate the alphabet (q(2i) = q(2i+1) = p_i/2), cut the
 duplicated alphabet into contiguous blocks of 2^ell - 1 symbols (the last may
-be shorter), and assign two
-players (a primary and a secondary) to each block.  A player whose sample lies
-in its block sends the sample's 1-based index within the block, otherwise the
-all-zero message.  The referee flips each nonzero message to zero independently
-with probability 1/2 and declares a symbol only when exactly one primary
-message survives nonzero and that block's secondary message is zero.
-Conditioned on declaring, the symbol is distributed exactly as q (hence, after
-merging duplicate pairs, exactly as p); otherwise the batch aborts and a fresh
-batch of players runs.  A batch declares with probability `flip_rho` of q's
-block masses, independently of the symbol it declares, so the index of the
-first declaring batch is geometric and independent of the declared symbol.
+be shorter), and assign two players (a primary and a secondary) to each block.
+A player whose sample lies in its block sends the sample's 1-based index within
+the block, otherwise the all-zero message.  The referee flips each nonzero
+message to zero independently with probability 1/2 and declares a symbol only
+when exactly one primary message survives nonzero and that block's secondary
+message is zero.  Conditioned on declaring, the symbol is distributed exactly
+as q (hence, after merging duplicate pairs, exactly as p); otherwise the batch
+aborts and a fresh batch of players runs.  A batch declares with probability
+`flip_rho` of q's block masses, independently of the symbol it declares, so
+the index of the first declaring batch is geometric and independent of it.
 
-`simulate_many` runs this scheme player by player: every player draws its own
-uniform, message and flip.  A player's message is nonzero iff its inverse-CDF
-sample lies in its block, which depends on the uniform only through the
-block's CDF interval, so that is the test each player makes; a sample is
-resolved to its symbol only when its batch declares.
+`simulate_many` draws only what can decide a batch: each primary's uniform and
+referee coin, and the secondary of a block whose primary is the only survivor.
+No other secondary can change the outcome, so it is counted but never drawn.
 """
 
 from __future__ import annotations
@@ -108,30 +105,33 @@ def _run_batches(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run T independent batches; return (declared flags, declared symbols).
 
-    The blocks are s contiguous symbols each: symbol x lies in block x // s at
-    1-based position x % s + 1.  Each batch uses batch_players players, and
-    each player draws one uniform u whose inverse-CDF image is its sample.  The
-    sample lies in the player's block j iff lo_j <= u < hi_j, with hi_j the CDF
-    at the block's last symbol and lo_j = hi_{j-1} (lo_0 = 0), so whether the
-    message is nonzero is read off u directly.  Only a declaring batch's
-    winning sample is resolved to its symbol.
+    Symbol x lies in block x // s at 1-based position x % s + 1.  A player's
+    inverse-CDF sample of its uniform u lies in its block j iff lo_j <= u < hi_j
+    (hi_j the CDF at the block's last symbol, lo_j = hi_{j-1}, lo_0 = 0), and
+    the player survives iff it does and the referee's fair coin keeps it (True).
+    Four draws, in this order: rng.random((T, m)), each primary's uniform;
+    rng.integers(0, 2, (T, m), dtype=bool), each primary's coin; then, for the
+    c rows with exactly one surviving primary, rng.random(c) and
+    rng.integers(0, 2, c, dtype=bool), that block's secondary's uniform and
+    coin.  A batch declares iff that secondary does not survive.  Only a
+    declared winner's uniform is resolved to its symbol.
     """
     m = -(-probs.size // s)
     cdf = np.cumsum(probs)
     cdf[-1] = 1.0
     hi = cdf[np.minimum(np.arange(1, m + 1) * s, probs.size) - 1]
     lo = np.concatenate(([0.0], hi[:-1]))
-    # u[t, 0, j] is the primary player of block j in batch t.
-    u = rng.random((T, 2, m))
-    nonzero = (u >= lo) & (u < hi)
-    # Referee flips each nonzero message to zero with probability 1/2.
-    nonzero &= rng.random((T, 2, m)) >= 0.5
-    counts = nonzero[:, 0, :].sum(axis=1)
-    winner = np.argmax(nonzero[:, 0, :], axis=1)
-    rows = np.arange(T)
-    declared = (counts == 1) & ~nonzero[rows, 1, winner]
+    u = rng.random((T, m))
+    alive = (u >= lo) & (u < hi) & rng.integers(0, 2, (T, m), dtype=bool)
+    rows = np.flatnonzero(np.count_nonzero(alive, axis=1) == 1)
+    winner = np.argmax(alive[rows], axis=1)
+    v = rng.random(rows.size)
+    sec_alive = (v >= lo[winner]) & (v < hi[winner]) & rng.integers(0, 2, rows.size, dtype=bool)
+    rows, winner = rows[~sec_alive], winner[~sec_alive]
+    declared = np.zeros(T, dtype=bool)
+    declared[rows] = True
     symbols = np.full(T, -1, dtype=np.int64)
-    symbols[declared] = np.searchsorted(cdf, u[rows[declared], 0, winner[declared]], side="right")
+    symbols[rows] = np.searchsorted(cdf, u[rows, winner], side="right")
     return declared, symbols
 
 
@@ -142,7 +142,7 @@ def simulate_many(
     rng: np.random.Generator,
     player_cap: int = PLAYER_CAP,
 ) -> list[SimOutcome]:
-    """Simulate `count` i.i.d. samples from p player by player, batching across samples per round."""
+    """Simulate `count` i.i.d. samples from p; players_used counts every batch player, drawn or not."""
     players = batch_players(p.k, ell)
     q = split_duplicate(p)
     s = 2**ell - 1
@@ -159,7 +159,4 @@ def simulate_many(
     undeclared = int(np.sum(symbols < 0))
     if undeclared:
         raise PlayerCapExceeded(f"{undeclared} sample(s) still undeclared after {player_cap} players each")
-    return [
-        SimOutcome(sym, b * players, b)
-        for sym, b in zip(symbols.tolist(), batches.tolist())
-    ]
+    return list(map(SimOutcome, symbols.tolist(), (batches * players).tolist(), batches.tolist()))

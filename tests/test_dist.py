@@ -62,6 +62,11 @@ class TestGenerators:
         u = uniform(5)
         assert np.allclose(u.probs, 0.2) and u.k == 5
 
+    def test_uniform_is_built_once_per_k(self):
+        assert uniform(64) is uniform(64) and uniform(64) is not uniform(32)
+        with pytest.raises(ValueError):
+            uniform(0)
+
     def test_paninski_tv_is_exactly_eps(self):
         # [PAPER] the paired perturbation sits at TV exactly eps from uniform.
         for k, eps in ((4, 0.1), (16, 0.3), (64, 0.5)):

@@ -350,6 +350,8 @@ class TestCli:
             ("levin", CELL_8, {"constants": {"levin": {"c_m": 0.1, "c1": 0.05, "c2": 0.35, "c3": 0.015, "z": 6.0}}}),
             ("smooth", CELL_8, {"trials": 2.5}),
             ("smooth", CELL_8, {"master_seed": 1.5}),
+            ("smooth", CELL_8, {"master_seed": None}),  # SeedSequence(None) would draw fresh entropy
+            ("smooth", {"k": None, "ell": 2, "eps": 0.4}),
             ("smooth", {"k": 64, "ell": 2, "eps": 0.3}, {"instance": {"name": "pmf_file", "path": "k8.json"}}),
             ("smooth", CELL_8, {"constant": {"c_l2": 6.0}}),  # typo of "constants"
             ("smooth", CELL_8, {"seed": 7}),  # in place of "master_seed"
@@ -360,8 +362,9 @@ class TestCli:
         ids=["undersized-n", "ell-0", "eps-1.5", "eps-0", "n-0", "experiment-n-0", "experiment-unknown-key",
              "experiment-float-k", "experiment-fractional-n", "constant-unknown-key", "constant-string",
              "constant-bool", "constant-zero", "constant-negative", "constant-nested-levin-block",
-             "fractional-trials", "fractional-master-seed", "pmf-file-wrong-k", "config-unknown-key",
-             "config-seed-key", "instance-unknown-key", "instance-not-an-object", "simulate-protocol"],
+             "fractional-trials", "fractional-master-seed", "null-master-seed", "experiment-null-k",
+             "pmf-file-wrong-k", "config-unknown-key", "config-seed-key", "instance-unknown-key",
+             "instance-not-an-object", "simulate-protocol"],
     )
     def test_bad_value_is_exit_3(self, case, tmp_path, capsys, monkeypatch):
         if isinstance(case, tuple):
@@ -484,7 +487,7 @@ class TestCli:
 # instance (uniform, then random paninski), and only an experiment config or a
 # search reads a trials count.
 GOOD_SPEC = {"protocols": ["levin"], "instance": {"name": "paninski", "theta": "random"}, "k": 16, "eps": 0.3,
-             "trials": 4}
+             "trials": 4, "seed": 0}
 CONFIGS = ("ExperimentConfig", "experiment-cli")
 SEARCHES = ("minimal_n", "scaling_report", "scaling-cli")
 ENTRY_POINTS = (*CONFIGS, "calibrate", *SEARCHES)
@@ -501,6 +504,7 @@ BAD_SPECS = {
     "expected-accept": ({"instance": {"name": "pmf_file", "path": "k16.json", "expected": "accept"}}, CONFIGS),
     "trials-string": ({"trials": "300"}, CONFIGS + SEARCHES),
     "trials-1": ({"trials": 1}, SEARCHES),
+    "negative-seed": ({"seed": -1}, ENTRY_POINTS),
 }
 
 
@@ -528,22 +532,23 @@ class TestSpecCheckedBeforeFirstTrial:
         monkeypatch.setattr(harness, "run_trial", counting_run_trial)
 
         def enter(entry, spec):
-            protocol, k, eps, trials = spec["protocols"][0], spec["k"], spec["eps"], spec["trials"]
+            protocol, k, eps, trials, seed = spec["protocols"][0], spec["k"], spec["eps"], spec["trials"], spec["seed"]
             cell = {"k": k, "ell": 2, "eps": eps}
             if entry == "ExperimentConfig":
-                run_experiment(ExperimentConfig(protocol, spec["instance"], (cell,), trials, 0))
+                run_experiment(ExperimentConfig(protocol, spec["instance"], (cell,), trials, seed))
             elif entry == "calibrate":
-                calibrate(protocol, 1 / 3, [cell], 100)
+                calibrate(protocol, 1 / 3, [cell], 100, master_seed=seed)
             elif entry == "minimal_n":
-                minimal_n(protocol, k, 2, eps, trials=trials)
+                minimal_n(protocol, k, 2, eps, trials=trials, seed=seed)
             elif entry == "scaling_report":
-                scaling_report(spec["protocols"], [k, 2 * k, 4 * k], eps, 2, trials=trials)
+                scaling_report(spec["protocols"], [k, 2 * k, 4 * k], eps, 2, trials=trials, seed=seed)
             else:
                 if entry == "experiment-cli":
-                    cfg = {"protocol": protocol, "instance": spec["instance"], "grid": [cell], "trials": trials}
+                    cfg = {"protocol": protocol, "instance": spec["instance"], "grid": [cell], "trials": trials,
+                           "master_seed": seed}
                 else:
                     cfg = {"protocols": spec["protocols"], "k_grid": [k, 2 * k, 4 * k], "eps": eps, "ell": 2,
-                           "trials": trials}
+                           "trials": trials, "master_seed": seed}
                 (tmp_path / "cfg.json").write_text(json.dumps(cfg))
                 return main([entry.removesuffix("-cli"), "--config", "cfg.json"])
 
@@ -571,6 +576,27 @@ class TestSpecCheckedBeforeFirstTrial:
         with pytest.raises(_Reached):
             enter(entry, GOOD_SPEC)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--k", "8", "--ell", "2"],
+            ["infer", "--k", "8", "--ell", "2", "--eps", "0.4"],
+            ["test-uniformity", "--k", "8", "--ell", "2", "--eps", "0.4"],
+            ["test-identity", "--k", "8", "--ell", "2", "--eps", "0.4", "--reference", "k8.json"],
+            ["verify"],
+            ["calibrate", "--protocol", "smooth", "--target-error", "0.3", "--grid", '[{"k": 8, "ell": 2, "eps": 0.4}]'],
+            ["experiment", "--config", "cfg.json"],
+            ["scaling", "--config", "cfg.json"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_cli_seed_is_refused(self, argv, runner, tmp_path, capsys):
+        # The seed is refused before any config is read.
+        (tmp_path / "cfg.json").write_text(json.dumps({"protocol": "smooth", "grid": [CELL_8], "trials": 1}))
+        assert main([*argv, "--seed", "-1"]) == 3
+        assert capsys.readouterr().err == "config error: --seed must be >= 0, got -1\n"
+        assert len(runner[1]) == 0
 
 
 class TestOneTrial:

@@ -1,11 +1,13 @@
 """Distributed simulation scheme: blocks, batch law, player counts."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from smpinfer import simulate
-from smpinfer.dist import Pmf, split_duplicate, uniform
+from smpinfer.dist import PaninskiParam, Pmf, paninski, split_duplicate, uniform
 from smpinfer.infer import run_block_simulations
 from smpinfer.simulate import (
     PlayerCapExceeded,
@@ -138,13 +140,40 @@ class TestBatchLaw:
         assert not declared.all() and np.all(symbols[~declared] == -1)
 
 
+def _messages(cdf, s, u, block):
+    """Each player's message: the 1-based in-block index of its full inverse-CDF sample, else 0."""
+    samples = np.searchsorted(cdf, u, side="right")
+    return np.where(samples // s == block, samples % s + 1, 0)
+
+
 def _full_search_batches(probs, s, T, rng):
-    """Reference batch: every player's full sample by inverse CDF, then its message."""
+    """Reference batch on _run_batches's four draws: every drawn player's sample
+    by full inverse-CDF search, then its message and the referee's coin."""
     m = -(-probs.size // s)
     cdf = np.cumsum(probs)
     cdf[-1] = 1.0
-    samples = np.searchsorted(cdf, rng.random((T, 2, m)), side="right")
-    msgs = np.where(samples // s == np.arange(m), samples % s + 1, 0)
+    primary = _messages(cdf, s, rng.random((T, m)), np.arange(m))
+    primary[~rng.integers(0, 2, (T, m), dtype=bool)] = 0
+    nonzero = primary > 0
+    rows = np.flatnonzero(nonzero.sum(axis=1) == 1)
+    winner = np.argmax(nonzero[rows], axis=1)
+    secondary = _messages(cdf, s, rng.random(rows.size), winner)
+    secondary[~rng.integers(0, 2, rows.size, dtype=bool)] = 0
+    rows, winner = rows[secondary == 0], winner[secondary == 0]
+    declared = np.zeros(T, dtype=bool)
+    declared[rows] = True
+    symbols = np.full(T, -1, dtype=np.int64)
+    symbols[rows] = winner * s + primary[rows, winner] - 1
+    return declared, symbols
+
+
+def _every_player_batches(probs, s, T, rng):
+    """Law oracle: every player of every batch draws its uniform and its flip,
+    and is resolved by full inverse-CDF search."""
+    m = -(-probs.size // s)
+    cdf = np.cumsum(probs)
+    cdf[-1] = 1.0
+    msgs = _messages(cdf, s, rng.random((T, 2, m)), np.arange(m))
     msgs[(msgs > 0) & (rng.random((T, 2, m)) < 0.5)] = 0
     primary = msgs[:, 0, :]
     nonzero = primary > 0
@@ -165,20 +194,20 @@ def _assert_batches_match_reference(probs, ell, seed, T=300):
     assert np.array_equal(symbols, ref_symbols)
 
 
+FIXED_CELLS = [
+    ([0.0, 1.0, 0.0], 2),  # point mass
+    ([0.1, 0.2, 0.3, 0.4], 2),  # 2k = 8 cuts into 3 + 3 + 2: short last block
+    ([0.5, 0.0, 0.5], 3),  # 2^ell - 1 = 7 >= 2k = 6: one block
+    ([0.1] * 10 + [0.0, 0.0], 2),  # trailing zeros; cumsum dust puts cdf[19..22] above 1.0
+    ([0.1] * 10 + [0.0, 0.0], 1),
+    ([0.2, 0.0, 0.5, 0.3, 0.0], 2),  # interior and trailing zero masses
+]
+
+
 class TestBatchOracle:
     """_run_batches reads each player's block from its CDF interval; the reference searches the full CDF."""
 
-    @pytest.mark.parametrize(
-        "probs, ell",
-        [
-            ([0.0, 1.0, 0.0], 2),  # point mass
-            ([0.1, 0.2, 0.3, 0.4], 2),  # 2k = 8 cuts into 3 + 3 + 2: short last block
-            ([0.5, 0.0, 0.5], 3),  # 2^ell - 1 = 7 >= 2k = 6: one block
-            ([0.1] * 10 + [0.0, 0.0], 2),  # trailing zeros; cumsum dust puts cdf[19..22] above 1.0
-            ([0.1] * 10 + [0.0, 0.0], 1),
-            ([0.2, 0.0, 0.5, 0.3, 0.0], 2),  # interior and trailing zero masses
-        ],
-    )
+    @pytest.mark.parametrize("probs, ell", FIXED_CELLS)
     def test_fixed_cells(self, probs, ell):
         for seed in range(5):
             _assert_batches_match_reference(probs, ell, seed)
@@ -198,6 +227,48 @@ class TestBatchOracle:
         fast = simulate_many(p, ell, 200, np.random.default_rng(ell))
         monkeypatch.setattr(simulate, "_run_batches", _full_search_batches)
         assert simulate_many(p, ell, 200, np.random.default_rng(ell)) == fast
+
+
+def _chi2_sf(x, df):
+    """P[chi-square with df degrees of freedom >= x], by the closed form for integer df."""
+    if df % 2 == 0:
+        term = total = 1.0
+        for i in range(1, df // 2):
+            term *= x / (2 * i)
+            total += term
+        return math.exp(-x / 2) * total
+    total, term = math.erfc(math.sqrt(x / 2)), math.sqrt(2 * x / math.pi) * math.exp(-x / 2)
+    for i in range(1, (df + 1) // 2):
+        total += term
+        term *= x / (2 * i + 1)
+    return total
+
+
+class TestDrawLayoutLaw:
+    """_run_batches draws only the players who can decide a batch; the law oracle
+    draws every player's uniform and flip.  Seeded two-sample tests with bands
+    fixed beforehand: declare rates within 4 SE, and a chi-square homogeneity
+    test on the declared symbols at p >= 1e-4."""
+
+    T = 20_000
+
+    @pytest.mark.parametrize(
+        "probs, ell",
+        [*FIXED_CELLS, (paninski(PaninskiParam(k=64, eps=0.3, theta=np.resize([1, -1], 32))).probs, 1)],
+    )
+    def test_same_law_as_every_player(self, probs, ell):
+        q = split_duplicate(Pmf(k=len(probs), probs=np.asarray(probs, dtype=float)))
+        s = 2**ell - 1
+        runs = [f(q.probs, s, self.T, np.random.default_rng(seed))
+                for f, seed in ((_run_batches, 11), (_every_player_batches, 12))]
+        rates = [declared.mean() for declared, _ in runs]
+        pooled = sum(rates) / 2
+        assert abs(rates[0] - rates[1]) <= 4 * math.sqrt(pooled * (1 - pooled) * 2 / self.T)
+        counts = np.array([np.bincount(symbols[declared], minlength=q.k) for declared, symbols in runs])
+        counts = counts[:, counts.sum(axis=0) > 0]
+        expected = np.outer(counts.sum(axis=1), counts.sum(axis=0)) / counts.sum()
+        stat = float(((counts - expected) ** 2 / expected).sum())
+        assert _chi2_sf(stat, counts.shape[1] - 1) >= 1e-4
 
 
 class TestSimulateMany:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smpinfer.dist import Partition, Pmf, paninski, PaninskiParam, tv, uniform
+from smpinfer.dist import Partition, Pmf, flatten, paninski, PaninskiParam, tv, uniform
 from smpinfer.smp import indicator, public_coins
 from smpinfer.verify import (
     Deviation,
@@ -81,6 +81,25 @@ class TestFlattening:
         assert out["prob"] >= 0.05
         assert np.max(np.abs(out["mean_Zr"])) < 0.01
         assert out["fourth_ratio"] <= 50.0
+
+    @pytest.mark.parametrize("L", [2, 4])
+    @pytest.mark.parametrize("k", [8, 12, 16])
+    def test_pair_preserving_map_hides_every_theta(self, k, L):
+        # [DERIVED] a map that keeps each Paninski pair (2i, 2i+1) in one part
+        # gives that part p(2i) + p(2i+1) = 2/k whatever theta_i is, so it
+        # flattens every paninski_theta to flatten(u): a private-coin smooth with
+        # this map fails at every n.  A public random balanced partition splits
+        # some pair, so some theta shows through it.
+        fixed = Partition(k, L, np.repeat(np.arange(k // 2) % L, 2))
+        drawn = public_coins(8).balanced_partition(k, L)
+        gaps = {"fixed": 0.0, "drawn": 0.0}
+        for theta in itertools.product((-1, 1), repeat=k // 2):
+            p = paninski(PaninskiParam(k=k, eps=0.3, theta=np.array(theta)))
+            for name, part in (("fixed", fixed), ("drawn", drawn)):
+                gap = np.max(np.abs(flatten(p, part).probs - flatten(uniform(k), part).probs))
+                gaps[name] = max(gaps[name], float(gap))
+        assert gaps["fixed"] <= 1e-12
+        assert gaps["drawn"] > 1e-6
 
 
 class TestChi2Mixture:
