@@ -78,6 +78,8 @@ def _to_csv(obj) -> str:
 
 
 def cmd_simulate(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be >= 1, got {args.count}")
     p = _load_pmf(args.pmf, args.k)
     rng = np.random.default_rng(trial_seed_seq(args.seed, 0, 0))
     outs = simulate_many(p, args.ell, args.count, rng)

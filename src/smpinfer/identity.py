@@ -19,7 +19,7 @@ import numpy as np
 from .dist import Pmf
 from .smp import Verdict
 
-__all__ = ["GoldreichMap", "build_map", "map_sample", "map_pmf", "identity_test_via_uniformity", "EPS_SCALE"]
+__all__ = ["GoldreichMap", "build_map", "map_samples", "map_pmf", "identity_test_via_uniformity", "EPS_SCALE"]
 
 # Distance parameter handed to the uniformity protocol: 16/25 of the identity eps.
 EPS_SCALE = 16.0 / 25.0
@@ -48,14 +48,24 @@ def build_map(q: Pmf) -> GoldreichMap:
     return GoldreichMap(q=q, m=m, alloc=alloc, start=start, slack=slack)
 
 
-def map_sample(gmap: GoldreichMap, x: int, rng: np.random.Generator) -> int:
-    """Map one source symbol to a bucket in [5k]."""
-    qx = gmap.q.probs[x]
-    if qx > 0 and rng.random() < gmap.alloc[x] / (gmap.m * qx):
-        return int(gmap.start[x] + rng.integers(gmap.alloc[x]))
-    if gmap.slack == 0:
-        raise ValueError("degenerate map: sample outside the allocation with no slack buckets")
-    return int(gmap.slack_start + rng.integers(gmap.slack))
+def map_samples(gmap: GoldreichMap, xs, rng: np.random.Generator) -> np.ndarray:
+    """Map source symbols to buckets in [5k], each independently.
+
+    Three draws, in this order: rng.random(n), sample i keeps to its own range
+    iff below alloc_x / (5k q_x) (never when q_x = 0); rng.integers over each
+    kept sample's alloc_x, its bucket in its range; rng.integers(slack, size=r)
+    for the r > 0 others, each a slack bucket.
+    """
+    xs = np.asarray(xs, dtype=np.int64)
+    qx, alloc = gmap.q.probs[xs], gmap.alloc[xs]
+    keep = rng.random(xs.size) * (gmap.m * qx) < alloc
+    out = np.empty(xs.size, dtype=np.int64)
+    out[keep] = gmap.start[xs[keep]] + rng.integers(alloc[keep])
+    if not keep.all():
+        if gmap.slack == 0:
+            raise ValueError("degenerate map: sample outside the allocation with no slack buckets")
+        out[~keep] = gmap.slack_start + rng.integers(gmap.slack, size=int((~keep).sum()))
+    return out
 
 
 def map_pmf(gmap: GoldreichMap, p: Pmf) -> Pmf:

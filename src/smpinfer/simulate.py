@@ -13,9 +13,11 @@ aborts and a fresh batch of players runs.  A batch declares with probability
 `flip_rho` of q's block masses, independently of the symbol it declares, so
 the index of the first declaring batch is geometric and independent of it.
 
-`simulate_many` draws only what can decide a batch: each primary's uniform and
-referee coin, and the secondary of a block whose primary is the only survivor.
-No other secondary can change the outcome, so it is counted but never drawn.
+`simulate_many` draws only what can decide a batch.  A primary outside its
+block sends zero, which the referee never flips, so only in-block primaries are
+drawn: a Bernoulli process per block over a chunk of batches, then a referee
+coin each, then the secondary of a block whose primary is the lone survivor.
+Every player of a batch is counted, drawn or not.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ __all__ = [
 ]
 
 PLAYER_CAP = 10**6
+_MAX_DRAW = 2**20  # values one draw may ask for; bounds the memory of a chunk of batches
 
 
 class PlayerCapExceeded(RuntimeError):
@@ -97,66 +100,86 @@ def batch_players(k: int, ell: int) -> int:
     return 2 * -(-2 * k // (2**ell - 1))
 
 
-def _run_batches(
-    probs: np.ndarray,
-    s: int,
-    T: int,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
+def _block_bounds(probs: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cdf, lo, hi): the CDF, scaled to end at exactly 1 and so nondecreasing despite cumsum dust,
+    and each block's CDF interval [lo_j, hi_j)."""
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
+    hi = cdf[np.minimum(np.arange(s, probs.size + s, s), probs.size) - 1]
+    return cdf, np.concatenate(([0.0], hi[:-1])), hi
+
+
+def _run_batches(probs: np.ndarray, s: int, T: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Run T independent batches; return (declared flags, declared symbols).
 
-    Symbol x lies in block x // s at 1-based position x % s + 1.  A player's
-    inverse-CDF sample of its uniform u lies in its block j iff lo_j <= u < hi_j
-    (hi_j the CDF at the block's last symbol, lo_j = hi_{j-1}, lo_0 = 0), and
-    the player survives iff it does and the referee's fair coin keeps it (True).
-    Four draws, in this order: rng.random((T, m)), each primary's uniform;
-    rng.integers(0, 2, (T, m), dtype=bool), each primary's coin; then, for the
-    c rows with exactly one surviving primary, rng.random(c) and
-    rng.integers(0, 2, c, dtype=bool), that block's secondary's uniform and
-    coin.  A batch declares iff that secondary does not survive.  Only a
-    declared winner's uniform is resolved to its symbol.
+    Symbol x lies in block x // s; a player's sample lies in its block j with
+    probability b_j = hi_j - lo_j.  Primaries sit on the row-major (batch, block)
+    grid.  Five draws, in this order: rng.geometric(b_max, size) gaps, in calls
+    of at most _MAX_DRAW until they pass the grid's end, place a Bernoulli(b_max)
+    process of candidates; rng.random(e), one per candidate, keeps one of block
+    j iff below b_j / b_max, so primary j is in its block with probability b_j;
+    rng.integers(0, 2, e', dtype=bool), each in-block primary's referee coin
+    (True keeps); for the c rows with exactly one survivor, rng.random(c) < b_j
+    and rng.integers(0, 2, c, dtype=bool), the secondary's in-block event and
+    coin (the batch declares iff it does not survive); rng.random(d), placing
+    each declared winner's sample uniformly in [lo_j, hi_j) for searchsorted,
+    held below hi_j so it never leaves the block or lands on a zero mass.
     """
-    m = -(-probs.size // s)
-    cdf = np.cumsum(probs)
-    cdf[-1] = 1.0
-    hi = cdf[np.minimum(np.arange(1, m + 1) * s, probs.size) - 1]
-    lo = np.concatenate(([0.0], hi[:-1]))
-    u = rng.random((T, m))
-    alive = (u >= lo) & (u < hi) & rng.integers(0, 2, (T, m), dtype=bool)
-    rows = np.flatnonzero(np.count_nonzero(alive, axis=1) == 1)
-    winner = np.argmax(alive[rows], axis=1)
-    v = rng.random(rows.size)
-    sec_alive = (v >= lo[winner]) & (v < hi[winner]) & rng.integers(0, 2, rows.size, dtype=bool)
+    cdf, lo, hi = _block_bounds(probs, s)
+    m, b = hi.size, hi - lo
+    bmax, cells = b.max(), T * m
+    size = min(_MAX_DRAW, int(cells * bmax + 6 * (cells * bmax) ** 0.5) + 16)
+    at = [np.cumsum(rng.geometric(bmax, size))]  # 1-based cell positions
+    while at[-1][-1] < cells:
+        at.append(at[-1][-1] + np.cumsum(rng.geometric(bmax, size)))
+    at = np.concatenate(at)
+    at = at[: np.searchsorted(at, cells, side="right")] - 1
+    at = at[rng.random(at.size) < (b / bmax)[at % m]]
+    at = at[rng.integers(0, 2, at.size, dtype=bool)]
+    row = at // m
+    lone = np.bincount(row, minlength=T)[row] == 1
+    rows, winner = row[lone], at[lone] % m
+    sec_alive = (rng.random(rows.size) < b[winner]) & rng.integers(0, 2, rows.size, dtype=bool)
     rows, winner = rows[~sec_alive], winner[~sec_alive]
+    point = np.minimum(lo[winner] + rng.random(rows.size) * b[winner], np.nextafter(hi[winner], 0.0))
     declared = np.zeros(T, dtype=bool)
     declared[rows] = True
     symbols = np.full(T, -1, dtype=np.int64)
-    symbols[rows] = np.searchsorted(cdf, u[rows, winner], side="right")
+    symbols[rows] = np.searchsorted(cdf, point, side="right")
     return declared, symbols
 
 
 def simulate_many(
-    p: Pmf,
-    ell: int,
-    count: int,
-    rng: np.random.Generator,
-    player_cap: int = PLAYER_CAP,
+    p: Pmf, ell: int, count: int, rng: np.random.Generator, player_cap: int = PLAYER_CAP
 ) -> list[SimOutcome]:
-    """Simulate `count` i.i.d. samples from p; players_used counts every batch player, drawn or not."""
+    """Simulate `count` i.i.d. samples from p; players_used counts every batch player, drawn or not.
+
+    Batches run as one stream, in chunks sized at rate flip_rho for the samples
+    still needed and capped so that a chunk's expected candidates are at most
+    _MAX_DRAW / 4.  Sample i is the i-th declaring batch, and its batches_used
+    counts the batches since the previous one: batches are i.i.d., so these are
+    i.i.d. geometric and independent of the symbols.  Batches after the last
+    needed declaration are discarded uncounted.  A sample that needs more than
+    player_cap players raises PlayerCapExceeded.
+    """
     players = batch_players(p.k, ell)
     q = split_duplicate(p)
     s = 2**ell - 1
-    symbols = np.full(count, -1, dtype=np.int64)
-    batches = np.zeros(count, dtype=np.int64)
-    active = np.arange(count)
-    for _ in range(player_cap // players):
-        if not active.size:
-            break
-        declared, syms = _run_batches(q.probs, s, active.size, rng)
-        batches[active] += 1
-        symbols[active[declared]] = syms[declared] // 2  # merge duplicate pairs back to [k]
-        active = active[~declared]
-    undeclared = int(np.sum(symbols < 0))
-    if undeclared:
-        raise PlayerCapExceeded(f"{undeclared} sample(s) still undeclared after {player_cap} players each")
+    _, lo, hi = _block_bounds(q.probs, s)
+    rate, most_rows = flip_rho(hi - lo), max(1, int(_MAX_DRAW / 4 / (hi.size * (hi - lo).max())))
+    most_batches = player_cap // players
+    symbols, batches = np.empty(count, dtype=np.int64), np.empty(count, dtype=np.int64)
+    done = since = 0  # samples declared; batches run since the last declaration
+    while done < count:
+        need = count - done
+        declared, syms = _run_batches(q.probs, s, min(most_rows, int((need + 3 * need**0.5) / rate) + 1), rng)
+        rows = np.flatnonzero(declared)[:need]
+        gaps = np.diff(rows, prepend=-1)
+        gaps[:1] += since
+        since = declared.size - 1 - rows[-1] if rows.size else since + declared.size
+        if np.any(gaps > most_batches) or (rows.size < need and since >= most_batches):
+            raise PlayerCapExceeded(f"a sample is still undeclared after {player_cap} players")
+        symbols[done : done + rows.size] = syms[rows] // 2  # merge duplicate pairs back to [k]
+        batches[done : done + rows.size] = gaps
+        done += rows.size
     return list(map(SimOutcome, symbols.tolist(), (batches * players).tolist(), batches.tolist()))

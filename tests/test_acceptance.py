@@ -22,7 +22,7 @@ from smpinfer.dist import (
     uniform,
 )
 from smpinfer.harness import ExperimentConfig, run_experiment, scaling_report
-from smpinfer.identity import build_map, map_pmf, map_sample
+from smpinfer.identity import build_map, map_pmf, map_samples
 from smpinfer.infer import si_uniformity_players, si_uniformity_protocol
 from smpinfer.public_uniformity import LevinSchedule
 from smpinfer.simulate import contiguous_blocks, player_bound, rho, simulate_many
@@ -295,7 +295,7 @@ def test_criterion_12_identity_reduction():
         q = Pmf(k=k, probs=alloc / m)
         gmap = build_map(q)
         xs = rng.choice(k, size=100_000, p=q.probs)
-        ys = np.array([map_sample(gmap, int(x), rng) for x in xs])
+        ys = map_samples(gmap, xs, rng)
         emp = np.bincount(ys, minlength=m) / ys.size
         d = 0.5 * float(np.abs(emp - 1.0 / m).sum())
         worst = max(worst, d)

@@ -358,13 +358,15 @@ class TestCli:
             ("smooth", CELL_8, {"instance": {"name": "paninski", "thetas": "ones"}}),
             ("smooth", CELL_8, {"instance": "uniform"}),
             ("simulate", CELL_8),  # simulate is a command, not a registered tester
+            ["simulate", "--k", "8", "--ell", "2", "--count", "-1"],  # a full command line
+            ["simulate", "--k", "8", "--ell", "2", "--count", "0"],
         ],
         ids=["undersized-n", "ell-0", "eps-1.5", "eps-0", "n-0", "experiment-n-0", "experiment-unknown-key",
              "experiment-float-k", "experiment-fractional-n", "constant-unknown-key", "constant-string",
              "constant-bool", "constant-zero", "constant-negative", "constant-nested-levin-block",
              "fractional-trials", "fractional-master-seed", "null-master-seed", "experiment-null-k",
              "pmf-file-wrong-k", "config-unknown-key", "config-seed-key", "instance-unknown-key",
-             "instance-not-an-object", "simulate-protocol"],
+             "instance-not-an-object", "simulate-protocol", "simulate-count-negative", "simulate-count-zero"],
     )
     def test_bad_value_is_exit_3(self, case, tmp_path, capsys, monkeypatch):
         if isinstance(case, tuple):
@@ -374,6 +376,8 @@ class TestCli:
             path = tmp_path / "cfg.json"
             path.write_text(json.dumps({"protocol": protocol, "grid": [cell], "trials": 1, **(extra[0] if extra else {})}))
             argv = ["experiment", "--config", str(path)]
+        elif case[0] == "simulate":
+            argv = case
         else:
             argv = ["test-uniformity", "--k", "64", "--ell", "2", "--eps", "0.4", "--protocol", "smooth", *case]
         assert main(argv) == 3

@@ -10,9 +10,20 @@ from smpinfer.identity import (
     build_map,
     identity_test_via_uniformity,
     map_pmf,
-    map_sample,
+    map_samples,
 )
 from smpinfer.infer import si_uniformity_players, si_uniformity_protocol
+from test_simulate import _chi2_p
+
+
+def _map_sample(gmap, x, rng):
+    """Reference sampler: map one source symbol to a bucket in [5k], one draw at a time."""
+    qx = gmap.q.probs[x]
+    if qx > 0 and rng.random() < gmap.alloc[x] / (gmap.m * qx):
+        return int(gmap.start[x] + rng.integers(gmap.alloc[x]))
+    if gmap.slack == 0:
+        raise ValueError("degenerate map: sample outside the allocation with no slack buckets")
+    return int(gmap.slack_start + rng.integers(gmap.slack))
 
 
 def granular_pmf(k, rng):
@@ -139,7 +150,7 @@ class TestMapSample:
         gmap = build_map(q)
         p = Pmf(k=4, probs=np.array([0.25, 0.25, 0.25, 0.25]))
         xs = rng.choice(4, size=30_000, p=p.probs)
-        ys = np.array([map_sample(gmap, int(x), rng) for x in xs])
+        ys = map_samples(gmap, xs, rng)
         emp = np.bincount(ys, minlength=gmap.m) / ys.size
         assert tv(Pmf(k=gmap.m, probs=emp), map_pmf(gmap, p)) < 0.03
 
@@ -148,8 +159,25 @@ class TestMapSample:
         gmap = build_map(q)
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            for _ in range(100):
-                map_sample(gmap, 1, rng)  # symbol with q=0 must hit missing slack
+            map_samples(gmap, np.ones(100, dtype=np.int64), rng)  # symbol with q=0 must hit missing slack
+        with pytest.raises(ValueError):
+            map_samples(gmap, [0, 1], rng)
+
+    def test_same_law_as_scalar_oracle(self):
+        # Seeded two-sample chi-square homogeneity test, band fixed beforehand:
+        # p >= 1e-4.  q has slack and a zero mass, and p differs from q, so all
+        # three branches (own range, overflow to slack, q_x = 0) are taken.
+        q = Pmf(k=5, probs=np.array([0.33, 0.27, 0.0, 0.25, 0.15]))
+        p = Pmf(k=5, probs=np.array([0.1, 0.3, 0.2, 0.25, 0.15]))
+        gmap = build_map(q)
+        assert gmap.slack > 0
+        xs = np.random.default_rng(3).choice(5, size=30_000, p=p.probs)
+        rng = np.random.default_rng(4)
+        fast = np.bincount(map_samples(gmap, xs, np.random.default_rng(5)), minlength=gmap.m)
+        slow = np.bincount([_map_sample(gmap, int(x), rng) for x in xs], minlength=gmap.m)
+        counts = np.array([fast, slow])[:, (fast + slow) > 0]
+        expected = np.outer(counts.sum(axis=1), counts.sum(axis=0)) / counts.sum()
+        assert _chi2_p(counts, expected) >= 1e-4
 
 
 class TestEndToEnd:

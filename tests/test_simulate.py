@@ -147,23 +147,38 @@ def _messages(cdf, s, u, block):
 
 
 def _full_search_batches(probs, s, T, rng):
-    """Reference batch on _run_batches's four draws: every drawn player's sample
-    by full inverse-CDF search, then its message and the referee's coin."""
+    """Reference batch on _run_batches's five draws, laid out on a dense (T, m)
+    grid of primaries: candidates, in-block primaries and survivors are boolean
+    masks filled in row-major order, a row's survivors are counted by a row sum,
+    and a declared winner's sample is resolved into its message by full
+    inverse-CDF search."""
     m = -(-probs.size // s)
     cdf = np.cumsum(probs)
-    cdf[-1] = 1.0
-    primary = _messages(cdf, s, rng.random((T, m)), np.arange(m))
-    primary[~rng.integers(0, 2, (T, m), dtype=bool)] = 0
-    nonzero = primary > 0
-    rows = np.flatnonzero(nonzero.sum(axis=1) == 1)
-    winner = np.argmax(nonzero[rows], axis=1)
-    secondary = _messages(cdf, s, rng.random(rows.size), winner)
-    secondary[~rng.integers(0, 2, rows.size, dtype=bool)] = 0
-    rows, winner = rows[secondary == 0], winner[secondary == 0]
+    cdf /= cdf[-1]
+    hi = cdf[np.minimum(np.arange(1, m + 1) * s, probs.size) - 1]
+    lo = np.concatenate(([0.0], hi[:-1]))
+    b = hi - lo
+    bmax = b.max()
+    size = min(simulate._MAX_DRAW, int(T * m * bmax + 6 * (T * m * bmax) ** 0.5) + 16)
+    positions = np.cumsum(rng.geometric(bmax, size))
+    while positions[-1] < T * m:
+        positions = np.concatenate((positions, positions[-1] + np.cumsum(rng.geometric(bmax, size))))
+    candidate = np.zeros(T * m, dtype=bool)
+    candidate[positions[positions <= T * m] - 1] = True
+    candidate = candidate.reshape(T, m)
+    in_block = np.zeros((T, m), dtype=bool)
+    in_block[candidate] = rng.random(candidate.sum()) < np.broadcast_to(b / bmax, (T, m))[candidate]
+    alive = np.zeros((T, m), dtype=bool)
+    alive[in_block] = rng.integers(0, 2, in_block.sum(), dtype=bool)
+    rows = np.flatnonzero(alive.sum(axis=1) == 1)
+    winner = np.argmax(alive[rows], axis=1)
+    secondary = (rng.random(rows.size) < b[winner]) & rng.integers(0, 2, rows.size, dtype=bool)
+    rows, winner = rows[~secondary], winner[~secondary]
+    u = np.minimum(lo[winner] + rng.random(rows.size) * b[winner], np.nextafter(hi[winner], 0.0))
     declared = np.zeros(T, dtype=bool)
     declared[rows] = True
     symbols = np.full(T, -1, dtype=np.int64)
-    symbols[rows] = winner * s + primary[rows, winner] - 1
+    symbols[rows] = winner * s + _messages(cdf, s, u, winner) - 1
     return declared, symbols
 
 
@@ -202,14 +217,24 @@ FIXED_CELLS = [
     ([0.1] * 10 + [0.0, 0.0], 1),
     ([0.2, 0.0, 0.5, 0.3, 0.0], 2),  # interior and trailing zero masses
 ]
+SKEWED = np.random.default_rng(40).dirichlet(np.full(40, 0.3))  # block masses far apart: thinning matters
+ONE_BLOCK = [0.2, 0.3, 0.5]  # at ell = 3 one block of mass 1: every grid cell is a candidate
 
 
 class TestBatchOracle:
-    """_run_batches reads each player's block from its CDF interval; the reference searches the full CDF."""
+    """_run_batches keeps the in-block primaries as sorted grid positions; the reference lays
+    the same draws on a dense grid and resolves the winner's message by full CDF search."""
 
     @pytest.mark.parametrize("probs, ell", FIXED_CELLS)
     def test_fixed_cells(self, probs, ell):
         for seed in range(5):
+            _assert_batches_match_reference(probs, ell, seed)
+
+    @pytest.mark.parametrize("probs, ell", FIXED_CELLS)
+    def test_gaps_drawn_in_several_calls(self, probs, ell, monkeypatch):
+        # A draw cap of 8 values splits a grid's gaps over many geometric calls.
+        monkeypatch.setattr(simulate, "_MAX_DRAW", 8)
+        for seed in range(3):
             _assert_batches_match_reference(probs, ell, seed)
 
     @settings(max_examples=60, deadline=None)
@@ -244,17 +269,30 @@ def _chi2_sf(x, df):
     return total
 
 
+def _chi2_p(observed, expected):
+    """Pearson chi-square p-value over the columns (df = columns - 1) of one row
+    against its expected counts, or of two rows against their pooled table; the
+    columns with an expected count below 5 are first pooled into one."""
+    observed, expected = np.atleast_2d(observed, expected)
+    small = expected.min(axis=0) < 5
+    if small.any():
+        observed = np.column_stack((observed[:, ~small], observed[:, small].sum(axis=1)))
+        expected = np.column_stack((expected[:, ~small], expected[:, small].sum(axis=1)))
+    return _chi2_sf(float(((observed - expected) ** 2 / expected).sum()), observed.shape[1] - 1)
+
+
 class TestDrawLayoutLaw:
     """_run_batches draws only the players who can decide a batch; the law oracle
     draws every player's uniform and flip.  Seeded two-sample tests with bands
     fixed beforehand: declare rates within 4 SE, and a chi-square homogeneity
-    test on the declared symbols at p >= 1e-4."""
+    test on the declared symbols (bins expected below 5 pooled) at p >= 1e-4."""
 
     T = 20_000
 
     @pytest.mark.parametrize(
         "probs, ell",
-        [*FIXED_CELLS, (paninski(PaninskiParam(k=64, eps=0.3, theta=np.resize([1, -1], 32))).probs, 1)],
+        [*FIXED_CELLS, (paninski(PaninskiParam(k=64, eps=0.3, theta=np.resize([1, -1], 32))).probs, 1),
+         (SKEWED, 1), (ONE_BLOCK, 3)],
     )
     def test_same_law_as_every_player(self, probs, ell):
         q = split_duplicate(Pmf(k=len(probs), probs=np.asarray(probs, dtype=float)))
@@ -267,8 +305,58 @@ class TestDrawLayoutLaw:
         counts = np.array([np.bincount(symbols[declared], minlength=q.k) for declared, symbols in runs])
         counts = counts[:, counts.sum(axis=0) > 0]
         expected = np.outer(counts.sum(axis=1), counts.sum(axis=0)) / counts.sum()
-        stat = float(((counts - expected) ** 2 / expected).sum())
-        assert _chi2_sf(stat, counts.shape[1] - 1) >= 1e-4
+        assert _chi2_p(counts, expected) >= 1e-4
+
+
+class _RecordingRng:
+    """Passes every draw on to a Generator and records how many values it returned."""
+
+    def __init__(self, rng):
+        self.rng, self.sizes = rng, []
+
+    def __getattr__(self, name):
+        draw = getattr(self.rng, name)
+
+        def recorded(*args, **kwargs):
+            out = draw(*args, **kwargs)
+            self.sizes.append(np.size(out))
+            return out
+
+        return recorded
+
+
+class TestSimulateManyLaw:
+    """The stream of chunks against the closed forms, with bands fixed beforehand:
+    mean batches_used within 4 SE of 1 / flip_rho, and a chi-square of the
+    symbols against p (bins expected below 5 pooled) at p >= 1e-4."""
+
+    COUNT = 20_000
+
+    @pytest.mark.parametrize(
+        "probs, ell",
+        [(SKEWED, 1), (ONE_BLOCK, 3), (uniform(1024).probs, 2),
+         (paninski(PaninskiParam(k=64, eps=0.3, theta=np.resize([1, -1], 32))).probs, 2)],
+        ids=["skewed-40-1", "one-block-3-3", "uniform-1024-2", "paninski-64-2"],
+    )
+    def test_batches_and_symbols(self, probs, ell):
+        p = Pmf(k=len(probs), probs=np.asarray(probs, dtype=float))
+        q = split_duplicate(p)
+        rate = flip_rho([q.probs[blk].sum() for blk in contiguous_blocks(q.k, 2**ell - 1)])
+        outs = simulate_many(p, ell, self.COUNT, np.random.default_rng(16))
+        batches = np.array([o.batches_used for o in outs], dtype=float)
+        assert abs(batches.mean() - 1 / rate) <= 4 * math.sqrt((1 - rate) / rate**2 / self.COUNT)
+        counts = np.bincount([o.symbol for o in outs], minlength=p.k)
+        support = p.probs > 0
+        assert not counts[~support].any()
+        assert _chi2_p(counts[support], self.COUNT * p.probs[support]) >= 1e-4
+
+    @pytest.mark.parametrize("probs", [uniform(1024).probs, np.eye(1024)[0]], ids=["uniform", "point-mass"])
+    def test_no_draw_asks_for_more_than_2_to_the_20(self, probs):
+        # At the point mass, one block holds all the mass: every grid cell is a
+        # candidate, so the chunk cap must bound the candidates, not only the rows.
+        rng = _RecordingRng(np.random.default_rng(5))
+        outs = simulate_many(Pmf(k=1024, probs=probs), 2, 5_000, rng)
+        assert len(outs) == 5_000 and max(rng.sizes) <= 2**20
 
 
 class TestSimulateMany:
@@ -293,6 +381,30 @@ class TestSimulateMany:
         outs = simulate_many(p, 1, 3000, np.random.default_rng(3))
         players = np.array([o.players_used for o in outs], dtype=float)
         assert players.mean() + 3 * players.std() / np.sqrt(players.size) <= player_bound(16, 1)
+
+    def test_samples_read_one_stream_of_chunks(self, monkeypatch):
+        # A draw cap of 64 values cuts the stream into chunks of a few batches.
+        # Sample i is the i-th declaring batch of the chunks laid end to end,
+        # its batches_used the gap since the one before, and a sample whose gap
+        # exceeds player_cap // batch_players raises, wherever the chunks cut.
+        monkeypatch.setattr(simulate, "_MAX_DRAW", 64)
+        chunks = []
+
+        def recorded(*args):
+            chunks.append(_run_batches(*args))
+            return chunks[-1]
+
+        monkeypatch.setattr(simulate, "_run_batches", recorded)
+        outs = simulate_many(uniform(16), 2, 300, np.random.default_rng(8))
+        declared = np.concatenate([d for d, _ in chunks])
+        at = np.flatnonzero(declared)[:300]
+        assert len(chunks) > 20 and declared.size - 1 - at[-1] < chunks[-1][0].size
+        assert [o.batches_used for o in outs] == np.diff(at, prepend=-1).tolist()
+        assert [o.symbol for o in outs] == (np.concatenate([s for _, s in chunks])[at] // 2).tolist()
+        cap = max(o.players_used for o in outs)
+        assert simulate_many(uniform(16), 2, 300, np.random.default_rng(8), player_cap=cap) == outs
+        with pytest.raises(PlayerCapExceeded):
+            simulate_many(uniform(16), 2, 300, np.random.default_rng(8), player_cap=cap - 1)
 
     def test_player_cap(self):
         with pytest.raises(PlayerCapExceeded):
