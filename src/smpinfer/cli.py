@@ -39,11 +39,15 @@ def _emit(obj, out: str | None, fmt: str):
 
 
 def _write(text: str, out: str | None):
+    _write_chunks((text,), out)
+
+
+def _write_chunks(chunks, out: str | None):
     if out:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _json_default(o):
@@ -83,12 +87,25 @@ def cmd_simulate(args) -> int:
     p = _load_pmf(args.pmf, args.k)
     rng = np.random.default_rng(trial_seed_seq(args.seed, 0, 0))
     outs = simulate_many(p, args.ell, args.count, rng)
-    rows = [
-        {"index": i, "symbol": o.symbol, "players_used": o.players_used, "batches_used": o.batches_used}
-        for i, o in enumerate(outs)
-    ]
-    _emit(rows, args.out, args.format)
+    _write_chunks(_sample_lines(outs, args.format), args.out)
     return EXIT_OK
+
+
+def _sample_lines(outs, fmt: str):
+    """The text _emit writes for one {index, symbol, players_used, batches_used}
+    row per sample, made one sample at a time rather than from a list of dicts."""
+    if fmt == "json":
+        yield "["
+        for i, o in enumerate(outs):
+            yield (
+                f'{"," if i else ""}\n  {{\n    "batches_used": {o.batches_used},\n    "index": {i},\n'
+                f'    "players_used": {o.players_used},\n    "symbol": {o.symbol}\n  }}'
+            )
+        yield "\n]\n"
+    else:
+        yield "index,symbol,players_used,batches_used\n"
+        for i, o in enumerate(outs):
+            yield f"{i},{o.symbol},{o.players_used},{o.batches_used}\n"
 
 
 def _one_shot(args):

@@ -55,6 +55,17 @@ class Pmf:
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
 
+    @classmethod
+    def _trusted(cls, k: int, probs: np.ndarray) -> "Pmf":
+        """A pmf that this package built from checked arguments: a nonnegative
+        float64 vector of length k that sums to 1 within 1e-9.  It is
+        renormalized as on construction and made read-only, not validated."""
+        p = probs / probs.sum()
+        p.setflags(write=False)
+        pmf = object.__new__(cls)
+        pmf.__dict__.update(k=k, probs=p)
+        return pmf
+
     def to_json(self) -> str:
         return json.dumps({"k": self.k, "probs": [float(x) for x in self.probs]})
 
@@ -136,11 +147,7 @@ def paninski(param: PaninskiParam) -> Pmf:
 
     The result is at total variation distance exactly eps from uniform.
     """
-    k, eps, theta = param.k, param.eps, param.theta
-    p = np.empty(k)
-    p[0::2] = (1.0 + 2.0 * eps * theta) / k
-    p[1::2] = (1.0 - 2.0 * eps * theta) / k
-    return Pmf(k=k, probs=p)
+    return Pmf(k=param.k, probs=_paired(param.k, 2.0 * param.eps * param.theta))
 
 
 def flying_pony(k: int, theta) -> Pmf:
@@ -153,10 +160,15 @@ def flying_pony(k: int, theta) -> Pmf:
     th = np.asarray(theta, dtype=np.int64)
     if th.shape != (k // 2,) or not np.all(np.abs(th) == 1):
         raise ValueError("theta must be a +/-1 vector of length k/2")
+    return Pmf(k=k, probs=_paired(k, th))
+
+
+def _paired(k: int, delta: np.ndarray) -> np.ndarray:
+    """The paired perturbation of uniform by delta: (1 + delta_i)/k at 2i, (1 - delta_i)/k at 2i+1."""
     p = np.empty(k)
-    p[0::2] = (1.0 + th) / k
-    p[1::2] = (1.0 - th) / k
-    return Pmf(k=k, probs=p)
+    p[0::2] = (1.0 + delta) / k
+    p[1::2] = (1.0 - delta) / k
+    return p
 
 
 def tv(p: Pmf, q: Pmf) -> float:

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import infer, public_uniformity as pu, testers
-from .dist import Pmf, PaninskiParam, flying_pony, paninski, uniform
+from .dist import Pmf, _paired, uniform
 from .smp import TrialStreams, Verdict
 
 __all__ = [
@@ -64,9 +64,11 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 # A paninski or flying_pony theta kind: its +-1 pattern, repeated to length k/2;
 # "random" draws theta from the trial's instance stream, the only spec that reads it.
 THETAS = {"alternating": [1, -1], "neg-alternating": [-1, 1], "ones": [1], "neg-ones": [-1], "random": None}
+# The paired perturbation of uniform that dist.paninski and dist.flying_pony build
+# from a theta; ExperimentConfig checked k and eps, and theta is +-1 by construction.
 _THETA_INSTANCES = {
-    "paninski": lambda k, eps, theta: paninski(PaninskiParam(k=k, eps=eps, theta=theta)),
-    "flying_pony": lambda k, eps, theta: flying_pony(k, theta),
+    "paninski": lambda eps, theta: 2.0 * eps * theta,
+    "flying_pony": lambda eps, theta: theta,
 }
 
 
@@ -78,9 +80,9 @@ def make_instance(spec: dict, k: int, eps: float, streams: TrialStreams) -> tupl
     if name == "pmf_file":
         with open(spec["path"]) as fh:
             return Pmf.from_json(fh.read()), spec.get("expected", "reject")
-    build, kind = _THETA_INSTANCES[name], spec.get("theta", "random")
+    delta, kind = _THETA_INSTANCES[name], spec.get("theta", "random")
     theta = np.where(streams.instance.random(k // 2) < 0.5, 1, -1) if kind == "random" else np.resize(THETAS[kind], k // 2)
-    return build(k, eps, theta), "reject"
+    return Pmf._trusted(k, _paired(k, delta(eps, theta))), "reject"
 
 
 # ---------------------------------------------------------------------------

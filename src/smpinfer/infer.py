@@ -25,7 +25,7 @@ import numpy as np
 
 from .dist import Pmf, split_duplicate
 from .simulate import batch_players, flip_rho, player_bound
-from .smp import Verdict, indicator, play
+from .smp import Verdict, play_indicators
 from . import testers
 
 __all__ = [
@@ -165,7 +165,7 @@ def flying_pony_protocol(p: Pmf, n: int, rng: np.random.Generator) -> Verdict:
     """
     if n < 1:
         raise ValueError("need at least one player")
-    count = int(play(p, indicator(p.k, 0), n, rng)[1])
+    count = int(play_indicators(p, (0,), n, rng)[0])
     lo, hi = 0.5 * n / p.k, 1.5 * n / p.k
     decision = "accept_uniform" if lo < count <= hi else "reject"
     return Verdict(decision=decision, diagnostics={"bit_count": count, "n": n, "players_used": n})

@@ -15,7 +15,9 @@ Two optimal protocols plus a warmup:
   element against 1/k.
 
 Each public-coin draw is the batch's message map, and the referee reads only
-the message counts that `smp.play` draws under it.
+the message counts that `smp.play` draws under it.  Warmup's maps are one-bit
+indicators of its public elements, so it draws its one-counts straight from p
+with `smp.play_indicators`, the same draws `play` makes under those maps.
 
 Mini-batch thresholds carry a noise floor max(theory margin, z * null sigma) so
 that calibrated (below worst-case size) stages never become null-unsafe; at the
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import Pmf, flatten, uniform
-from .smp import PublicCoins, Verdict, play
+from .smp import PublicCoins, Verdict, play, play_indicators
 from .testers import C_L2_DEFAULT, L2TestParams, collision_statistic, l2_uniformity_test
 
 __all__ = [
@@ -141,12 +143,8 @@ def warmup_protocol(
         raise ValueError(f"need at least {need} players, got {n}")
     n_batch = n // m
     threshold = (1.0 - eps / 4.0) / k
-    rejections = 0
-    for _ in range(m):
-        hits = play(p, coins.element(k), n_batch, rng)[1]
-        if hits / n_batch < threshold:
-            rejections += 1
-    decision = "accept_uniform" if rejections == 0 else "reject"
+    hits = play_indicators(p, coins.elements(k, m), n_batch, rng)
+    decision = "reject" if np.any(hits / n_batch < threshold) else "accept_uniform"
     return Verdict(
         decision=decision,
         diagnostics={

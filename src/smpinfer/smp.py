@@ -9,7 +9,10 @@ A message map is a `dist.Partition`: a deterministic ell-bit map is
 Partition(k, 2**ell, assign), a player holding x sends assign[x], and parts
 may be empty.  Every referee statistic is a symmetric function of the
 messages, so referees read message counts: a public-coin draw returns its
-message map, and `play` draws the message counts of n players under it.
+message map, and `play` draws the message counts of n players under it.  A
+one-bit indicator map's counts are one binomial draw, so `play_indicators`
+draws the one-counts of several indicator maps straight from p, with the very
+draws `play` makes under each map.
 
 Randomness discipline: everything derives from a master seed.  A trial is one
 protocol run, and `TrialStreams(master seed, cell, trial)` holds the three
@@ -35,6 +38,7 @@ __all__ = [
     "TrialStreams",
     "indicator",
     "play",
+    "play_indicators",
     "trial_seed_seq",
 ]
 
@@ -97,6 +101,15 @@ class PublicCoins:
         self.bits_used += _draw_bits(k)
         return indicator(k, x)
 
+    def elements(self, k: int, m: int) -> np.ndarray:
+        """m uniformly random elements of [k] in one draw: the values and bits of
+        m calls to element(k), as symbols rather than maps."""
+        if k < 1:
+            raise ValueError("need k >= 1")
+        xs = self._rng.integers(k, size=m)
+        self.bits_used += m * _draw_bits(k)
+        return xs
+
 
 def indicator(k: int, x: int) -> Partition:
     """The one-bit message map that sends 1 iff the sample is x."""
@@ -110,6 +123,26 @@ def indicator(k: int, x: int) -> Partition:
 def play(p: Pmf, part: Partition, n: int, rng: np.random.Generator) -> np.ndarray:
     """Message counts of n i.i.d. players holding samples of p who send part.assign[x]."""
     return rng.multinomial(n, flatten(p, part).probs)
+
+
+def play_indicators(p: Pmf, xs, n: int, rng: np.random.Generator) -> np.ndarray:
+    """For each symbol x of xs in turn, the count of n players who send 1 under
+    indicator(p.k, x): play(p, indicator(p.k, x), n, rng)[1], draw for draw.
+
+    numpy's 2-way multinomial draws its first part as one binomial, so the
+    count is n - Binomial(n, r / (r + p_x)), where r is the mass of the other
+    symbols summed in symbol order, as flatten's bincount sums it.  Each x must
+    lie in [0, p.k).
+    """
+    probs = p.probs
+    others = probs.copy()
+    hits = np.empty(len(xs), dtype=np.int64)
+    for i, x in enumerate(xs):
+        others[x] = 0.0
+        rest = others.cumsum()[-1]
+        others[x] = probs[x]
+        hits[i] = n - rng.binomial(n, rest / (rest + probs[x]))
+    return hits
 
 
 def trial_seed_seq(master_seed: int, cell_index: int, trial_index: int, *stream: int) -> np.random.SeedSequence:

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smpinfer import harness
-from smpinfer.cli import _SUITES, main
-from smpinfer.dist import PaninskiParam, Pmf, paninski, tv, uniform
+from smpinfer.cli import _SUITES, _emit, main
+from smpinfer.dist import PaninskiParam, Pmf, flying_pony, paninski, tv, uniform
 from smpinfer.harness import (
     PROTOCOLS,
+    THETAS,
     CalibrationFailure,
     Cell,
     ExperimentConfig,
@@ -29,7 +30,8 @@ from smpinfer.harness import (
 from smpinfer.identity import identity_test_via_uniformity
 from smpinfer.infer import si_learning_players
 from smpinfer.public_uniformity import warmup_players
-from smpinfer.smp import TrialStreams
+from smpinfer.simulate import simulate_many
+from smpinfer.smp import TrialStreams, trial_seed_seq
 
 TESTERS = ("smooth", "levin", "warmup", "private-si", "flying-pony")
 CELL_8 = {"k": 8, "ell": 2, "eps": 0.4}
@@ -168,6 +170,25 @@ class TestInstances:
             )
             assert expected == "reject"
             assert tv(p, uniform(8)) == pytest.approx(0.3, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", list(THETAS))
+    def test_trusted_instances_are_the_dist_instances(self, kind):
+        # make_instance skips validation; its probs must be the validated
+        # generators' bit for bit, and read-only.
+        for k, eps, seed in ((2, 0.5, 0), (8, 0.3, 1), (64, 0.3, 2), (200, 0.45, 3)):
+            if kind == "random":
+                theta = np.where(TrialStreams(seed, 0, 0).instance.random(k // 2) < 0.5, 1, -1)
+            else:
+                theta = np.resize(THETAS[kind], k // 2)
+            expected = {
+                "paninski": paninski(PaninskiParam(k=k, eps=eps, theta=theta)),
+                "flying_pony": flying_pony(k, theta),
+            }
+            for name, want in expected.items():
+                p, verdict = make_instance({"name": name, "theta": kind}, k, eps, TrialStreams(seed, 0, 0))
+                assert (p.k, verdict) == (k, "reject")
+                assert p.probs.dtype == want.probs.dtype and p.probs.tobytes() == want.probs.tobytes()
+                assert not p.probs.flags.writeable
 
     def test_unknown_keys(self):
         with pytest.raises(KeyError):
@@ -318,6 +339,23 @@ class TestCli:
         assert main(["simulate", "--k", "5", "--ell", "2", "--count", "2", "--seed", "3"]) == 0
         rows = json.loads(capsys.readouterr().out)
         assert len(rows) == 2 and all(0 <= r["symbol"] < 5 for r in rows)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("k, ell, count", [(5, 2, 1), (64, 1, 2), (1024, 2, 37)])
+    def test_simulate_bytes_are_the_dict_rendering(self, fmt, k, ell, count, tmp_path, capsys):
+        # simulate writes sample by sample; its bytes are those of _emit over one
+        # dict per sample, the rendering every other command uses.
+        outs = simulate_many(uniform(k), ell, count, np.random.default_rng(trial_seed_seq(4, 0, 0)))
+        rows = [
+            {"index": i, "symbol": o.symbol, "players_used": o.players_used, "batches_used": o.batches_used}
+            for i, o in enumerate(outs)
+        ]
+        _emit(rows, str(tmp_path / "dicts"), fmt)
+        argv = ["simulate", "--k", str(k), "--ell", str(ell), "--count", str(count), "--seed", "4", "--format", fmt]
+        assert main([*argv, "--out", str(tmp_path / "lines")]) == 0
+        assert (tmp_path / "lines").read_bytes() == (tmp_path / "dicts").read_bytes()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (tmp_path / "dicts").read_text()
 
     def test_test_uniformity_csv(self, capsys):
         rc = main(["test-uniformity", "--k", "8", "--ell", "2", "--eps", "0.4",

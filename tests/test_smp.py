@@ -4,8 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smpinfer.dist import Partition, Pmf, flatten
-from smpinfer.smp import PublicCoins, TrialStreams, Verdict, indicator, play, public_coins, trial_seed_seq
+from smpinfer.dist import PaninskiParam, Partition, Pmf, flatten, paninski, uniform
+from smpinfer.smp import (
+    PublicCoins,
+    TrialStreams,
+    Verdict,
+    indicator,
+    play,
+    play_indicators,
+    public_coins,
+    trial_seed_seq,
+)
 
 
 class TestPublicCoins:
@@ -72,6 +81,18 @@ class TestPublicCoins:
     def test_element_requires_a_symbol(self):
         with pytest.raises(ValueError, match="k >= 1"):
             public_coins(0).element(0)
+        with pytest.raises(ValueError, match="k >= 1"):
+            public_coins(0).elements(0, 3)
+
+    @pytest.mark.parametrize("k", [1, 7, 64, 5000])
+    def test_elements_are_element_calls_in_one_draw(self, k):
+        # One integers(k, size=m) draw gives the values and bits of m element(k) calls.
+        for m in (1, 17, 100):
+            batch, single = public_coins(3, k, m), public_coins(3, k, m)
+            xs = batch.elements(k, m)
+            ys = [int(np.flatnonzero(single.element(k).assign)[0]) for _ in range(m)]
+            assert xs.tolist() == ys
+            assert batch.bits_used == single.bits_used == m * max(1, int(np.ceil(np.log2(k))))
 
     @pytest.mark.parametrize("x", [8, 9, -1])
     def test_indicator_requires_a_symbol_of_the_alphabet(self, x):
@@ -147,6 +168,60 @@ class TestPlay:
             counts = play(p, part, n, rng)
             assert counts.sum() == n and np.all(counts >= 0)
             assert np.all(counts[law == 0] == 0)
+
+
+def one_bit_pmfs(k, rng):
+    """(name, pmf, symbol to test first) for the count-level one-bit draw's grid:
+    uniform, paninski (even k), zero masses (first tested x has p_x = 0) and a
+    point mass (first tested x has p_x = 1, the others p_x = 0)."""
+    cases = [("uniform", uniform(k), 0)]
+    if k % 2 == 0:
+        theta = np.where(rng.random(k // 2) < 0.5, 1, -1)
+        cases.append(("paninski", paninski(PaninskiParam(k=k, eps=0.3, theta=theta)), k - 1))
+    if k > 1:
+        p = zero_mass_pmf(rng, k, zeros=k // 2)
+        cases.append(("zero-masses", p, int(np.flatnonzero(p.probs == 0)[0])))
+    point = np.zeros(k)
+    point[k // 3] = 1.0
+    cases.append(("point-mass", Pmf(k=k, probs=point), k // 3))
+    return cases
+
+
+class _FirstPartRng:
+    """A Generator that records (n, probability of the first part) of every
+    binomial and multinomial draw it passes on."""
+
+    def __init__(self, seed):
+        self.rng, self.draws = np.random.default_rng(seed), []
+
+    def binomial(self, n, q):
+        self.draws.append((n, float(q)))
+        return self.rng.binomial(n, q)
+
+    def multinomial(self, n, pvals):
+        self.draws.append((n, float(pvals[0])))
+        return self.rng.multinomial(n, pvals)
+
+
+class TestPlayIndicators:
+    @pytest.mark.parametrize("k", [1, 2, 7, 64, 1000])
+    def test_draw_for_draw_as_play(self, k):
+        # The oracle is the per-batch loop play(p, indicator(k, x), n, rng)[1]:
+        # the same draws at the very same probabilities, the same counts, and
+        # the stream left at the same place.
+        rng = np.random.default_rng(k)
+        for name, p, first in one_bit_pmfs(k, rng):
+            for n in (1, 2560, 10**6):
+                for m in (1, 17):
+                    xs = rng.integers(k, size=m)
+                    xs[0] = first
+                    seed = int(rng.integers(2**32))
+                    fast, slow = _FirstPartRng(seed), _FirstPartRng(seed)
+                    hits = play_indicators(p, xs, n, fast)
+                    expected = [play(p, indicator(k, int(x)), n, slow)[1] for x in xs]
+                    assert fast.draws == slow.draws, (name, n, m)
+                    assert hits.tolist() == expected, (name, n, m)
+                    assert fast.rng.random() == slow.rng.random(), (name, n, m)
 
 
 class TestStreams:
