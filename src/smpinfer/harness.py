@@ -2,8 +2,11 @@
 
 A run is fully determined by (config, master seed): every trial derives its
 random streams from a per-(cell, trial) seed sequence, instance draws included,
-so re-running any single trial in isolation reproduces it.  Persisted artifacts
-(CSV rows, JSON summaries) contain only deterministic fields.
+so re-running any single trial in isolation reproduces it.  An experiment
+seeds its streams from one batch of seed words per cell, the words those seed
+sequences give, so the draws are those of the per-trial seed sequences.
+Persisted artifacts (CSV rows, JSON summaries) contain only deterministic
+fields.
 """
 
 from __future__ import annotations
@@ -13,14 +16,14 @@ import io
 import json
 import math
 import numbers
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, field
 from typing import Callable
 
 import numpy as np
 
 from . import infer, public_uniformity as pu, testers
 from .dist import Pmf, _paired, uniform
-from .smp import TrialStreams, Verdict
+from .smp import TrialStreams, Verdict, trial_seed_words
 
 __all__ = [
     "Cell",
@@ -72,14 +75,14 @@ _THETA_INSTANCES = {
 }
 
 
-def make_instance(spec: dict, k: int, eps: float, streams: TrialStreams) -> tuple[Pmf, str]:
-    """(pmf, expected verdict) of a spec that ExperimentConfig validated; else a KeyError."""
+def make_instance(spec: dict, k: int, eps: float, streams: TrialStreams, file_pmf: Pmf | None = None) -> tuple[Pmf, str]:
+    """(pmf, expected verdict) of a spec that ExperimentConfig validated; else a
+    KeyError.  A pmf_file spec's pmf is file_pmf, the one ExperimentConfig read."""
     name = spec.get("name", "uniform")
     if name == "uniform":
         return uniform(k), "accept_uniform"
     if name == "pmf_file":
-        with open(spec["path"]) as fh:
-            return Pmf.from_json(fh.read()), spec.get("expected", "reject")
+        return file_pmf, spec.get("expected", "reject")
     delta, kind = _THETA_INSTANCES[name], spec.get("theta", "random")
     theta = np.where(streams.instance.random(k // 2) < 0.5, 1, -1) if kind == "random" else np.resize(THETAS[kind], k // 2)
     return Pmf._trusted(k, _paired(k, delta(eps, theta))), "reject"
@@ -231,7 +234,9 @@ class ExperimentConfig:
     """`trials` seeded trials per grid cell: the one check of a run's spec, made
     before any trial.  Dict cells are validated here into Cells, the instance
     spec against every cell and the constants block by `_check_constants`.
-    `from_json` also rejects unknown top-level keys."""
+    `from_json` also rejects unknown top-level keys.  A pmf_file instance is
+    read here, once, into file_pmf: every trial plays that pmf, whatever
+    happens to the file during the run."""
 
     INSTANCE_KEYS = ("name", "theta", "path", "expected")
     JSON_KEYS = ("schema_version", "protocol", "instance", "grid", "trials", "master_seed", "constants")
@@ -242,6 +247,7 @@ class ExperimentConfig:
     trials: int
     master_seed: int
     constants: dict | None = None
+    file_pmf: Pmf | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.grid:
@@ -265,9 +271,10 @@ class ExperimentConfig:
                 raise ValueError(f"unknown instance {key} {value!r}; known are {sorted(known)}")
         if name == "pmf_file":
             with open(spec["path"]) as fh:
-                k = Pmf.from_json(fh.read()).k
-            if any(c.k != k for c in grid):
-                raise ValueError(f"pmf_file {spec['path']!r} has k={k}, but every cell must have that k")
+                file_pmf = Pmf.from_json(fh.read())
+            if any(c.k != file_pmf.k for c in grid):
+                raise ValueError(f"pmf_file {spec['path']!r} has k={file_pmf.k}, but every cell must have that k")
+            object.__setattr__(self, "file_pmf", file_pmf)
         if name in _THETA_INSTANCES and any(c.k % 2 for c in grid):
             raise ValueError(f"a {name} instance needs an even k in every cell")
         if name == "paninski" and any(c.eps > 0.5 for c in grid):
@@ -341,10 +348,12 @@ class ExperimentResult:
         )
 
 
-def run_trial(cfg: ExperimentConfig, cell_index: int, trial_index: int) -> TrialReport:
+def run_trial(cfg: ExperimentConfig, cell_index: int, trial_index: int, words: np.ndarray | None = None) -> TrialReport:
+    """One trial of the experiment.  words is the trial's row of its cell's
+    trial_seed_words, when the caller computed them in one batch."""
     cell = cfg.grid[cell_index]
-    streams = TrialStreams(cfg.master_seed, cell_index, trial_index)
-    p, expected = make_instance(cfg.instance, cell.k, cell.eps, streams)
+    streams = TrialStreams(cfg.master_seed, cell_index, trial_index, words)
+    p, expected = make_instance(cfg.instance, cell.k, cell.eps, streams, cfg.file_pmf)
     n, verdict = PROTOCOLS[cfg.protocol].trial(p, cell, streams, cfg.constants)
     return TrialReport(
         cell=cell_index,
@@ -363,14 +372,21 @@ def run_trial(cfg: ExperimentConfig, cell_index: int, trial_index: int) -> Trial
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
+    """Every trial of every cell, then one summary per cell.
+
+    Each cell's seed words are computed in one trial_seed_words call, and each
+    trial runs on its row, in this process or in one of `workers` processes;
+    the reports are the same either way.
+    """
     coords = [(ci, ti) for ci in range(len(cfg.grid)) for ti in range(cfg.trials)]
+    words = [row for ci in range(len(cfg.grid)) for row in trial_seed_words(cfg.master_seed, ci, cfg.trials)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(run_trial, [cfg] * len(coords), *zip(*coords), chunksize=8))
+            reports = list(pool.map(run_trial, [cfg] * len(coords), *zip(*coords), words, chunksize=8))
     else:
-        reports = [run_trial(cfg, ci, ti) for ci, ti in coords]
+        reports = [run_trial(cfg, ci, ti, row) for (ci, ti), row in zip(coords, words)]
     summaries = []
     for ci, cell in enumerate(cfg.grid):
         cell_reports = [r for r in reports if r.cell == ci]

@@ -18,17 +18,21 @@ Randomness discipline: everything derives from a master seed.  A trial is one
 protocol run, and `TrialStreams(master seed, cell, trial)` holds the three
 streams of its keyed seed: instance draws, the protocol's own draws (players
 and referee), and the public coins, whose draws are charged at their encoding
-length.  Each stream is built on first use, so a trial pays only for the
-streams it reads.
+length.  Streams are seeded from one batch of per-cell seed words:
+`trial_seed_words` computes, in one numpy pass, the PCG64 seed words of every
+trial and stream of a cell, the very words numpy's `SeedSequence` would give
+each stream, so the draws are unchanged.  Each stream is built on first use
+from its words, so a trial pays only for the streams it reads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .dist import Partition, Pmf, flatten
 
@@ -40,6 +44,7 @@ __all__ = [
     "play",
     "play_indicators",
     "trial_seed_seq",
+    "trial_seed_words",
 ]
 
 # Stream namespaces under the master seed.  Every derived seed depends on
@@ -62,7 +67,7 @@ class PublicCoins:
     Partition's validation.
     """
 
-    seed_seq: np.random.SeedSequence
+    seed_seq: ISeedSequence  # a SeedSequence, or a trial's coin stream words
     bits_used: int = 0
 
     @cached_property
@@ -152,30 +157,115 @@ def trial_seed_seq(master_seed: int, cell_index: int, trial_index: int, *stream:
     return np.random.SeedSequence(master_seed, spawn_key=(_NS_TRIAL, cell_index, trial_index, *stream))
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx).  Its pool is four
+# uint32 words; each entropy word past the pool is hashed once per pool word and
+# mixed in, and each hash advances a hash constant by one multiplication.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # entropy hashing
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # output hashing (generate_state)
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_U32_MIX_L, _U32_MIX_R = np.uint32(_MIX_L), np.uint32(_MIX_R)
+
+
+def _u32(values) -> np.ndarray:
+    return np.array(values, dtype=np.uint32)
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    # One hash of `value`, whose constant is `xor` before the step and `mult` after it.
+    value = (value ^ xor) * mult
+    return value ^ (value >> 16)
+
+
+def _words32(x: int) -> int:
+    """How many uint32 words SeedSequence makes of a non-negative integer (0 is one word)."""
+    return max(1, (int(x).bit_length() + 31) // 32)
+
+
+@cache
+def _tail_constants(prefix_words: int) -> tuple[np.ndarray, ...]:
+    """The hash constants of the words after an entropy prefix of `prefix_words`
+    words: the trial word's (xor, mult), MIX_R times the three stream words'
+    hashes, and generate_state's (xor, mult) for 8 output words as (2, 4)."""
+    # The pool's first 4 words take 4 hashes, mixing them together 12, and
+    # every further word 4.
+    a = [_INIT_A * pow(_MULT_A, 16 + 4 * (prefix_words - 4) + j, 1 << 32) & _MASK32 for j in range(9)]
+    b = [_INIT_B * pow(_MULT_B, d, 1 << 32) & _MASK32 for d in range(9)]
+    streams = _hashmix(_u32(range(3))[:, None], _u32(a[4:8]), _u32(a[5:9]))
+    return _u32(a[:4]), _u32(a[1:5]), _U32_MIX_R * streams, _u32(b[:8]).reshape(2, 4), _u32(b[1:]).reshape(2, 4)
+
+
+def trial_seed_words(master_seed: int, cell_index: int, trials: int, first: int = 0) -> np.ndarray:
+    """The PCG64 seed words of trials first .. first + trials - 1 of a cell, as a
+    (trials, 3, 4) uint64 array: row [t - first, i] is
+    trial_seed_seq(master_seed, cell_index, t, i).generate_state(4, np.uint64).
+
+    numpy builds the shared prefix, the pool of SeedSequence(master_seed,
+    spawn_key=(_NS_TRIAL, cell_index)); the trial word, the stream word and the
+    output hashes are numpy's hash on uint32 lanes, for every trial at once.
+    A trial index takes one uint32 word, so it must lie below 2**32.
+    """
+    if not 0 <= first <= first + trials <= 1 << 32:
+        raise ValueError("trial indices must lie in [0, 2**32)")
+    pool = np.random.SeedSequence(master_seed, spawn_key=(_NS_TRIAL, cell_index)).pool
+    prefix_words = max(4, _words32(master_seed)) + 1 + _words32(cell_index)
+    trial_xor, trial_mult, mixed_streams, out_xor, out_mult = _tail_constants(prefix_words)
+    # mix(x, y) = (MIX_L x - MIX_R y) ^ ((MIX_L x - MIX_R y) >> 16), per pool word.
+    trial = _hashmix(np.arange(first, first + trials, dtype=np.uint32)[:, None], trial_xor, trial_mult)
+    pool = _U32_MIX_L * pool - _U32_MIX_R * trial
+    pool ^= pool >> 16
+    pool = _U32_MIX_L * pool[:, None, :] - mixed_streams
+    pool ^= pool >> 16
+    # generate_state(4, uint64) hashes the pool twice over into 8 little-endian uint32 words.
+    out = _hashmix(pool[:, :, None, :], out_xor, out_mult).reshape(trials, 3, 8)
+    return out.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+class _SeedWords(ISeedSequence):
+    """A seed sequence that hands PCG64 one stream's precomputed seed words, so
+    numpy's own PCG64 seeding runs on them unchanged."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words  # a C-contiguous uint64 row of trial_seed_words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:
+            raise ValueError("trial seed words are PCG64's 4 uint64 words")
+        return self.words
+
+
 class TrialStreams:
     """One trial's three streams: `instance` draws, the `protocol`'s own draws
     (players and referee) and the public `coins`.
 
-    Stream i is built on first use from the trial seed's child i,
-    trial_seed_seq(master_seed, cell_index, trial_index, i), without building
-    the parent or the other children.  So a stream the trial never reads costs
-    nothing, and the order of first use changes no draw.
+    Stream i is built on first use as Generator(PCG64(...)) on its words,
+    trial_seed_words(master_seed, cell_index, ...)[trial_index, i]: the
+    generator that default_rng(trial_seed_seq(master_seed, cell_index,
+    trial_index, i)) builds, draw for draw.  `words` is the trial's (3, 4) row
+    when the caller computed its cell's rows in one batch; without it the row is
+    computed here.  A stream the trial never reads costs nothing, and the order
+    of first use changes no draw.
     """
 
-    def __init__(self, master_seed: int, cell_index: int, trial_index: int):
-        self._key = (master_seed, cell_index, trial_index)
+    def __init__(self, master_seed: int, cell_index: int, trial_index: int, words: np.ndarray | None = None):
+        self._words = trial_seed_words(master_seed, cell_index, 1, trial_index)[0] if words is None else words
+
+    def _stream(self, i: int) -> np.random.Generator:
+        return np.random.Generator(np.random.PCG64(_SeedWords(self._words[i])))
 
     @cached_property
     def instance(self) -> np.random.Generator:
-        return np.random.default_rng(trial_seed_seq(*self._key, 0))
+        return self._stream(0)
 
     @cached_property
     def protocol(self) -> np.random.Generator:
-        return np.random.default_rng(trial_seed_seq(*self._key, 1))
+        return self._stream(1)
 
     @cached_property
     def coins(self) -> PublicCoins:
-        return PublicCoins(trial_seed_seq(*self._key, 2))
+        return PublicCoins(_SeedWords(self._words[2]))
 
 
 def public_coins(master_seed: int, *key: int) -> PublicCoins:

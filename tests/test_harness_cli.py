@@ -210,7 +210,7 @@ class TestRunExperiment:
         assert len(res.reports) == 1
 
     def test_determinism_across_workers(self):
-        cfg = small_config(trials=4)
+        cfg = small_config(trials=4, grid=(CELL_8, {"k": 16, "ell": 2, "eps": 0.4}))
         a = run_experiment(cfg, workers=1).to_csv()
         b = run_experiment(cfg, workers=2).to_csv()
         assert a == b
@@ -224,12 +224,30 @@ class TestRunExperiment:
             assert all(int(r["players_used"]) > 0 for r in rows), protocol
 
     def test_trial_isolation(self):
-        # Re-running one trial in isolation reproduces its report.
-        cfg = small_config(trials=3)
+        # Re-running one trial in isolation, which computes its own seed words,
+        # reproduces its report from the experiment's batch of words.
+        cfg = small_config(protocol="levin", instance={"name": "paninski"},
+                           grid=(CELL_8, {"k": 16, "ell": 2, "eps": 0.4}), trials=3)
         res = run_experiment(cfg)
-        again = run_trial(cfg, 0, 2)
-        # equal on every persisted field (wall time is a diagnostic, not data)
-        assert again.csv_row() == res.reports[2].csv_row()
+        for ci, ti in ((0, 2), (1, 0), (1, 2)):
+            # equal on every persisted field (wall time is a diagnostic, not data)
+            assert run_trial(cfg, ci, ti).csv_row() == res.reports[3 * ci + ti].csv_row()
+
+    def test_pmf_file_is_read_once(self, tmp_path):
+        # ExperimentConfig reads the file; a file overwritten after the config
+        # is built changes no trial.
+        def config(path):
+            return small_config(protocol="warmup", instance={"name": "pmf_file", "path": str(path)}, trials=6)
+
+        point = Pmf(8, np.eye(8)[0]).to_json()
+        path, untouched = tmp_path / "p.json", tmp_path / "q.json"
+        path.write_text(point)
+        untouched.write_text(point)
+        cfg = config(path)
+        path.write_text(uniform(8).to_json())
+        want = run_experiment(config(untouched)).to_csv()
+        assert run_experiment(cfg).to_csv() == want
+        assert run_experiment(config(path)).to_csv() != want  # a config built now reads the new file
 
     def test_players_within_budget(self):
         cfg = small_config(protocol="private-si",

@@ -1,5 +1,7 @@
 """SMP primitives: public coins, the one execution path, seeds, verdicts."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,7 @@ from smpinfer.smp import (
     play_indicators,
     public_coins,
     trial_seed_seq,
+    trial_seed_words,
 )
 
 
@@ -237,18 +240,62 @@ class TestStreams:
         assert streams.instance.random() == np.random.default_rng(children[0]).random()
         assert streams.protocol.random() == np.random.default_rng(children[1]).random()
         coins = streams.coins
-        assert coins.seed_seq.spawn_key == children[2].spawn_key and coins.bits_used == 0
+        assert coins.bits_used == 0
+        assert coins.elements(1000, 8).tolist() == PublicCoins(children[2]).elements(1000, 8).tolist()
 
-    @pytest.mark.parametrize("key", [(1, 2, 3), (0, 0, 0), (2**40, 7, 11)])
+    @pytest.mark.parametrize("key", [(1, 2, 3), (0, 0, 0), (2**40, 7, 11), (2**64 + 3, 2**32, 5)])
     def test_order_of_first_use_does_not_matter(self, key):
-        # Coins first, then protocol, then instance: each stream draws what an
+        # In any order of first use, and whether the trial's seed words come
+        # from its cell's batch or are computed alone, each stream draws what an
         # eager generator on the same child of the spawned trial seed draws.
-        streams = TrialStreams(*key)
+        master_seed, cell_index, trial_index = key
+        row = trial_seed_words(master_seed, cell_index, trial_index + 1)[trial_index]
         children = trial_seed_seq(*key).spawn(3)
-        eager = PublicCoins(children[2])
-        assert streams.coins.subset(16, 5).assign.tolist() == eager.subset(16, 5).assign.tolist()
-        assert streams.protocol.random(4).tolist() == np.random.default_rng(children[1]).random(4).tolist()
-        assert streams.instance.random(4).tolist() == np.random.default_rng(children[0]).random(4).tolist()
+        for order in itertools.permutations(range(3)):
+            for streams in (TrialStreams(*key), TrialStreams(*key, row)):
+                for i in order:
+                    if i == 2:
+                        eager = PublicCoins(children[2])
+                        assert streams.coins.subset(16, 5).assign.tolist() == eager.subset(16, 5).assign.tolist()
+                        assert streams.coins.bits_used == eager.bits_used
+                    else:
+                        got = (streams.instance, streams.protocol)[i]
+                        want = np.random.default_rng(children[i])
+                        assert got.random(4).tolist() == want.random(4).tolist()
+                        assert got.integers(2**62, size=3).tolist() == want.integers(2**62, size=3).tolist()
+
+
+class TestSeedWords:
+    # trial_seed_seq is the oracle: trial_seed_words reimplements numpy's
+    # SeedSequence hash past the cell's prefix, and must give its very words.
+    @pytest.mark.parametrize("master_seed", [0, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 7])
+    @pytest.mark.parametrize("cell_index", [0, 7, 2**32, 2**70])
+    def test_words_are_the_seed_sequence_words(self, master_seed, cell_index):
+        for trials in (1, 5, 400):
+            words = trial_seed_words(master_seed, cell_index, trials)
+            assert words.shape == (trials, 3, 4) and words.dtype == np.uint64
+            for t, i in itertools.product(range(trials), range(3)):
+                want = trial_seed_seq(master_seed, cell_index, t, i).generate_state(4, np.uint64)
+                assert words[t, i].tolist() == want.tolist(), (trials, t, i)
+
+    def test_first_trial_offset(self):
+        top = 2**32 - 3
+        words = trial_seed_words(2**40, 3, 3, first=top)
+        for t, i in itertools.product(range(3), range(3)):
+            want = trial_seed_seq(2**40, 3, top + t, i).generate_state(4, np.uint64)
+            assert words[t, i].tolist() == want.tolist()
+        assert trial_seed_words(9, 1, 3, first=2).tolist() == trial_seed_words(9, 1, 5)[2:].tolist()
+        with pytest.raises(ValueError):
+            trial_seed_words(0, 0, 2, first=2**32 - 1)  # trial 2**32 takes two uint32 words
+        with pytest.raises(ValueError):
+            trial_seed_words(0, 0, 1, first=-1)
+
+    def test_words_seed_only_pcg64(self):
+        # The words are PCG64's 4 uint64 words; a generator asking for another
+        # state is refused rather than seeded from the wrong words.
+        coins = TrialStreams(1, 0, 0).coins
+        with pytest.raises(ValueError):
+            np.random.MT19937(coins.seed_seq)
 
 
 class TestVerdict:
