@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .dist import Pmf, split_duplicate
-from .simulate import batch_players, flip_rho, player_bound
+from .simulate import batch_players, block_size, flip_rho, player_bound
 from .smp import Verdict, play_indicators
 from . import testers
 
@@ -72,7 +72,7 @@ def run_block_simulations(p: Pmf, ell: int, B: int, rng: np.random.Generator) ->
         raise ValueError("need at least one block")
     per_block_players, budget_batches = block_budget_players(p.k, ell)
     q = split_duplicate(p)
-    first = rng.geometric(flip_rho(np.add.reduceat(q.probs, np.arange(0, q.k, 2**ell - 1))), size=B)
+    first = rng.geometric(flip_rho(np.add.reduceat(q.probs, np.arange(0, q.k, block_size(p.k, ell)))), size=B)
     successes = int(np.count_nonzero(first <= budget_batches))
     return BlockSimResult(
         counts=rng.multinomial(successes, p.probs),

@@ -91,9 +91,13 @@ def smooth_protocol(
     N = n // sched.m
     params = L2TestParams(L=sched.L, gamma=sched.gamma, delta=sched.delta, c_l2=c_l2)
     rejections = 0
+    null = None
     for _ in range(sched.m):
         part = coins.balanced_partition(p.k, sched.L)
-        null = None if p.k % sched.L == 0 else flatten(uniform(p.k), part)
+        if null is None and p.k % sched.L:
+            # Every balanced partition gives part r the same number of masses 1/k
+            # (the first k mod L parts one more), so its flattened null is the same bytes.
+            null = flatten(uniform(p.k), part)
         if l2_uniformity_test(play(p, part, N, rng), params, null=null) == "reject":
             rejections += 1
     decision = "accept_uniform" if rejections == 0 else "reject"

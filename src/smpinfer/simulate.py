@@ -14,25 +14,34 @@ aborts and a fresh batch of players runs.  A batch declares with probability
 the index of the first declaring batch is geometric and independent of it.
 
 `simulate_many` draws only what can decide a batch.  A primary outside its
-block sends zero, which the referee never flips, so only in-block primaries are
-drawn: a Bernoulli process per block over a chunk of batches, then a referee
-coin each, then the secondary of a block whose primary is the lone survivor.
-Every player of a batch is counted, drawn or not.
+block sends zero, which the referee never flips, so primary j survives nonzero
+with probability b_j/2 (in its block, then kept by the coin), and that one
+event is all it draws.  Four draws decide a chunk of batches, in this order:
+geometric gaps at rate b_max/2 place candidates on the (batch, block) grid;
+one uniform per candidate keeps it iff below b_j/b_max, leaving the surviving
+primaries; in each batch with exactly one survivor, one uniform below b_j/2 is
+that block's secondary surviving, and the batch declares iff it does not; and
+one uniform per declaring batch places its sample in the winner's block.
+Every player of a batch is counted, drawn or not.  A block never needs more
+symbols than the duplicated alphabet holds, so its size is capped at 2k
+(`block_size`), and every ell with 2^ell - 1 >= 2k runs as the same one block.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
-from .dist import Pmf, split_duplicate
+from .dist import Pmf
 
 __all__ = [
     "SimOutcome",
     "PlayerCapExceeded",
     "PLAYER_CAP",
     "contiguous_blocks",
+    "block_size",
     "rho",
     "flip_rho",
     "simulate_many",
@@ -93,11 +102,16 @@ def flip_rho(block_probs) -> float:
     return float(0.5 * b.sum() * np.prod(1.0 - 0.5 * b))
 
 
-def batch_players(k: int, ell: int) -> int:
-    """Players in one batch: a primary and a secondary per block of the duplicated [2k]."""
+def block_size(k: int, ell: int) -> int:
+    """Symbols per block of the duplicated [2k]: 2^ell - 1, capped at 2k (one block covers it all)."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    return 2 * -(-2 * k // (2**ell - 1))
+    return min(2**ell - 1, 2 * k)
+
+
+def batch_players(k: int, ell: int) -> int:
+    """Players in one batch: a primary and a secondary per block of the duplicated [2k]."""
+    return 2 * -(-2 * k // block_size(k, ell))
 
 
 def _block_bounds(probs: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -109,44 +123,41 @@ def _block_bounds(probs: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray, np
     return cdf, np.concatenate(([0.0], hi[:-1])), hi
 
 
-def _run_batches(probs: np.ndarray, s: int, T: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Run T independent batches; return (declared flags, declared symbols).
+def _run_batches(
+    cdf: np.ndarray, lo: np.ndarray, hi: np.ndarray, T: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run T independent batches; return the declaring batches' indices, ascending, and their symbols.
 
-    Symbol x lies in block x // s; a player's sample lies in its block j with
-    probability b_j = hi_j - lo_j.  Primaries sit on the row-major (batch, block)
-    grid.  Five draws, in this order: rng.geometric(b_max, size) gaps, in calls
-    of at most _MAX_DRAW until they pass the grid's end, place a Bernoulli(b_max)
+    (cdf, lo, hi) are _block_bounds of the duplicated alphabet: symbol x lies in
+    block x // s, and a player's sample lies in its block j with probability
+    b_j = hi_j - lo_j.  Primaries sit on the row-major (batch, block) grid.  Four
+    draws, in this order: rng.geometric(b_max / 2, size) gaps, in calls of at
+    most _MAX_DRAW until they pass the grid's end, place a Bernoulli(b_max / 2)
     process of candidates; rng.random(e), one per candidate, keeps one of block
-    j iff below b_j / b_max, so primary j is in its block with probability b_j;
-    rng.integers(0, 2, e', dtype=bool), each in-block primary's referee coin
-    (True keeps); for the c rows with exactly one survivor, rng.random(c) < b_j
-    and rng.integers(0, 2, c, dtype=bool), the secondary's in-block event and
-    coin (the batch declares iff it does not survive); rng.random(d), placing
-    each declared winner's sample uniformly in [lo_j, hi_j) for searchsorted,
-    held below hi_j so it never leaves the block or lands on a zero mass.
+    j iff below b_j / b_max, so primary j survives nonzero (in its block, and
+    kept by the referee's coin) with probability b_j / 2; for the c rows with
+    exactly one survivor, rng.random(c) < b_j / 2 is the secondary surviving
+    nonzero (the batch declares iff it does not); rng.random(d), placing each
+    declared winner's sample uniformly in [lo_j, hi_j) for searchsorted, held
+    below hi_j so it never leaves the block or lands on a zero mass.
     """
-    cdf, lo, hi = _block_bounds(probs, s)
     m, b = hi.size, hi - lo
     bmax, cells = b.max(), T * m
-    size = min(_MAX_DRAW, int(cells * bmax + 6 * (cells * bmax) ** 0.5) + 16)
-    at = [np.cumsum(rng.geometric(bmax, size))]  # 1-based cell positions
+    rate = 0.5 * bmax
+    size = min(_MAX_DRAW, int(cells * rate + 6 * (cells * rate) ** 0.5) + 16)
+    at = [np.cumsum(rng.geometric(rate, size))]  # 1-based cell positions
     while at[-1][-1] < cells:
-        at.append(at[-1][-1] + np.cumsum(rng.geometric(bmax, size)))
+        at.append(at[-1][-1] + np.cumsum(rng.geometric(rate, size)))
     at = np.concatenate(at)
     at = at[: np.searchsorted(at, cells, side="right")] - 1
     at = at[rng.random(at.size) < (b / bmax)[at % m]]
-    at = at[rng.integers(0, 2, at.size, dtype=bool)]
     row = at // m
     lone = np.bincount(row, minlength=T)[row] == 1
     rows, winner = row[lone], at[lone] % m
-    sec_alive = (rng.random(rows.size) < b[winner]) & rng.integers(0, 2, rows.size, dtype=bool)
-    rows, winner = rows[~sec_alive], winner[~sec_alive]
+    sec_zero = rng.random(rows.size) >= 0.5 * b[winner]
+    rows, winner = rows[sec_zero], winner[sec_zero]
     point = np.minimum(lo[winner] + rng.random(rows.size) * b[winner], np.nextafter(hi[winner], 0.0))
-    declared = np.zeros(T, dtype=bool)
-    declared[rows] = True
-    symbols = np.full(T, -1, dtype=np.int64)
-    symbols[rows] = np.searchsorted(cdf, point, side="right")
-    return declared, symbols
+    return rows, np.searchsorted(cdf, point, side="right")
 
 
 def simulate_many(
@@ -163,23 +174,26 @@ def simulate_many(
     player_cap players raises PlayerCapExceeded.
     """
     players = batch_players(p.k, ell)
-    q = split_duplicate(p)
-    s = 2**ell - 1
-    _, lo, hi = _block_bounds(q.probs, s)
-    rate, most_rows = flip_rho(hi - lo), max(1, int(_MAX_DRAW / 4 / (hi.size * (hi - lo).max())))
+    # The duplicated alphabet's CDF: _block_bounds scales it to end at 1, so its masses are p_i / 2.
+    cdf, lo, hi = _block_bounds(np.repeat(p.probs, 2), block_size(p.k, ell))
+    b = hi - lo
+    rate, most_rows = flip_rho(b), max(1, int(_MAX_DRAW / 2 / (b.size * b.max())))
     most_batches = player_cap // players
     symbols, batches = np.empty(count, dtype=np.int64), np.empty(count, dtype=np.int64)
     done = since = 0  # samples declared; batches run since the last declaration
     while done < count:
         need = count - done
-        declared, syms = _run_batches(q.probs, s, min(most_rows, int((need + 3 * need**0.5) / rate) + 1), rng)
-        rows = np.flatnonzero(declared)[:need]
+        T = min(most_rows, int((need + 3 * need**0.5) / rate) + 1)
+        rows, syms = _run_batches(cdf, lo, hi, T, rng)
+        rows, syms = rows[:need], syms[:need]
         gaps = np.diff(rows, prepend=-1)
         gaps[:1] += since
-        since = declared.size - 1 - rows[-1] if rows.size else since + declared.size
+        since = T - 1 - rows[-1] if rows.size else since + T
         if np.any(gaps > most_batches) or (rows.size < need and since >= most_batches):
             raise PlayerCapExceeded(f"a sample is still undeclared after {player_cap} players")
-        symbols[done : done + rows.size] = syms[rows] // 2  # merge duplicate pairs back to [k]
+        symbols[done : done + rows.size] = syms // 2  # merge duplicate pairs back to [k]
         batches[done : done + rows.size] = gaps
         done += rows.size
-    return list(map(SimOutcome, symbols.tolist(), (batches * players).tolist(), batches.tolist()))
+    # SimOutcome._make per sample, without a Python-level __new__ call for each.
+    fields = zip(symbols.tolist(), (batches * players).tolist(), batches.tolist())
+    return list(map(tuple.__new__, repeat(SimOutcome, count), fields))

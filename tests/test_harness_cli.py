@@ -282,6 +282,17 @@ def test_golden_experiment_output(protocol, instance):
     assert hashes == GOLDEN[protocol, instance]
 
 
+# sha256 of `smpinfer simulate --k 16 --ell 2 --count 1000 --seed 1 --format csv`:
+# simulate's draws, chunking and rendering.  Like GOLDEN, a change that means to
+# alter its stream updates this hash and says why.
+GOLDEN_SIMULATE = "c83c846b6e4bea0a9348d22864270ab853e26ca771677180ca04550d0bf0e713"
+
+
+def test_golden_simulate_output(capsys):
+    assert main(["simulate", "--k", "16", "--ell", "2", "--count", "1000", "--seed", "1", "--format", "csv"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == GOLDEN_SIMULATE
+
+
 class TestCalibrate:
     def test_impossible_target(self):
         # A zero target is a config error, raised before any trial.

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smpinfer.dist import paninski, PaninskiParam, uniform
+from smpinfer import public_uniformity
+from smpinfer.dist import flatten, paninski, PaninskiParam, uniform
 from smpinfer.public_uniformity import (
     LEVIN_C1,
     LEVIN_C2,
@@ -84,6 +85,32 @@ class TestSmoothProtocol:
     def test_undersized_n(self):
         with pytest.raises(ValueError):
             smooth_protocol(uniform(16), 2, 0.3, 10, public_coins(0), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("k, ell", [(5000, 4), (4097, 4), (100, 3), (64, 2)])
+    def test_null_is_every_batch_flatten(self, k, ell, monkeypatch):
+        # The null is flattened once per trial; it must be the bytes of
+        # flatten(uniform(k), part) for every batch's partition (None when L | k).
+        parts, nulls = [], []
+        draw = public_uniformity.PublicCoins.balanced_partition
+
+        def recorded_partition(coins, *args):
+            parts.append(draw(coins, *args))
+            return parts[-1]
+
+        def recorded_test(counts, params, null=None):
+            nulls.append(null)
+            return "accept"
+
+        monkeypatch.setattr(public_uniformity.PublicCoins, "balanced_partition", recorded_partition)
+        monkeypatch.setattr(public_uniformity, "l2_uniformity_test", recorded_test)
+        n = SmoothSchedule.from_params(k, ell, 0.3).total_players
+        smooth_protocol(uniform(k), ell, 0.3, n, public_coins(k), np.random.default_rng(0))
+        assert len(parts) == len(nulls) == 12
+        for part, null in zip(parts, nulls):
+            if k % part.L == 0:
+                assert null is None
+            else:
+                assert null.probs.tobytes() == flatten(uniform(k), part).probs.tobytes()
 
     def test_public_bits_accounted(self):
         k, ell, eps = 16, 2, 0.3

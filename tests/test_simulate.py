@@ -8,11 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from smpinfer import simulate
 from smpinfer.dist import PaninskiParam, Pmf, paninski, split_duplicate, uniform
-from smpinfer.infer import run_block_simulations
+from smpinfer.cli import main
+from smpinfer.infer import block_budget_players, run_block_simulations, si_uniformity_protocol
 from smpinfer.simulate import (
     PlayerCapExceeded,
+    SimOutcome,
+    _block_bounds,
     _run_batches,
     batch_players,
+    block_size,
     contiguous_blocks,
     flip_rho,
     player_bound,
@@ -40,6 +44,28 @@ class TestBlocks:
         # 2^ell - 1 does not divide 2k here, so the last block is short.
         assert (2 * k) % (2**ell - 1) != 0
         assert batch_players(k, ell) == 2 * len(contiguous_blocks(2 * k, 2**ell - 1))
+
+
+class TestLargeEll:
+    """Blocks are capped at the duplicated alphabet: at k = 16, every ell >= 6
+    is one block of 2k = 32 symbols, however far 2^ell - 1 overflows int64."""
+
+    @pytest.mark.parametrize("ell", [63, 64, 70])
+    def test_same_as_one_block(self, ell, capsys):
+        p = paninski(PaninskiParam(k=16, eps=0.3, theta=np.resize([1, -1], 8)))
+        assert block_size(16, ell) == block_size(16, 6) == 32 and block_size(16, 5) == 31
+        assert batch_players(16, ell) == batch_players(16, 6) == 2
+        assert simulate_many(p, ell, 300, np.random.default_rng(1)) == simulate_many(p, 6, 300, np.random.default_rng(1))
+        n = 600 * block_budget_players(16, 6)[0]  # 600 blocks
+        verdicts = [si_uniformity_protocol(p, e, 0.3, n, np.random.default_rng(2)) for e in (ell, 6)]
+        assert verdicts[0].decision == verdicts[1].decision
+        assert verdicts[0].diagnostics == verdicts[1].diagnostics
+        outputs = []
+        for e in (ell, 6):
+            assert main(["simulate", "--k", "16", "--ell", str(e), "--count", "20", "--seed", "3"]) == 0
+            assert main(["infer", "--task", "uniformity", "--k", "16", "--ell", str(e), "--eps", "0.3"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
 
 class TestPlayerBound:
@@ -135,9 +161,10 @@ class TestBatchLaw:
 
     def test_run_batch_outputs_valid_symbol_or_none(self):
         q = split_duplicate(uniform(4))
-        declared, symbols = _run_batches(q.probs, 3, 200, np.random.default_rng(0))
-        assert declared.any() and np.all((symbols[declared] >= 0) & (symbols[declared] < q.k))
-        assert not declared.all() and np.all(symbols[~declared] == -1)
+        rows, symbols = _run_batches(*_block_bounds(q.probs, 3), 200, np.random.default_rng(0))
+        assert 0 < rows.size < 200 and rows.size == symbols.size
+        assert np.all(np.diff(rows) > 0) and 0 <= rows[0] and rows[-1] < 200
+        assert np.all((symbols >= 0) & (symbols < q.k))
 
 
 def _messages(cdf, s, u, block):
@@ -146,40 +173,33 @@ def _messages(cdf, s, u, block):
     return np.where(samples // s == block, samples % s + 1, 0)
 
 
-def _full_search_batches(probs, s, T, rng):
-    """Reference batch on _run_batches's five draws, laid out on a dense (T, m)
-    grid of primaries: candidates, in-block primaries and survivors are boolean
-    masks filled in row-major order, a row's survivors are counted by a row sum,
-    and a declared winner's sample is resolved into its message by full
-    inverse-CDF search."""
-    m = -(-probs.size // s)
-    cdf = np.cumsum(probs)
-    cdf /= cdf[-1]
-    hi = cdf[np.minimum(np.arange(1, m + 1) * s, probs.size) - 1]
+def _full_search_batches(cdf, s, T, rng):
+    """Reference batch on _run_batches's four draws, laid out on a dense (T, m)
+    grid of primaries: candidates and survivors are boolean masks filled in
+    row-major order, a row's survivors are counted by a row sum, and a declared
+    winner's sample is resolved into its message by full inverse-CDF search.
+    Block bounds are read off the CDF at every s-th symbol."""
+    m = -(-cdf.size // s)
+    hi = cdf[np.minimum(np.arange(1, m + 1) * s, cdf.size) - 1]
     lo = np.concatenate(([0.0], hi[:-1]))
     b = hi - lo
     bmax = b.max()
-    size = min(simulate._MAX_DRAW, int(T * m * bmax + 6 * (T * m * bmax) ** 0.5) + 16)
-    positions = np.cumsum(rng.geometric(bmax, size))
+    rate = 0.5 * bmax
+    size = min(simulate._MAX_DRAW, int(T * m * rate + 6 * (T * m * rate) ** 0.5) + 16)
+    positions = np.cumsum(rng.geometric(rate, size))
     while positions[-1] < T * m:
-        positions = np.concatenate((positions, positions[-1] + np.cumsum(rng.geometric(bmax, size))))
+        positions = np.concatenate((positions, positions[-1] + np.cumsum(rng.geometric(rate, size))))
     candidate = np.zeros(T * m, dtype=bool)
     candidate[positions[positions <= T * m] - 1] = True
     candidate = candidate.reshape(T, m)
-    in_block = np.zeros((T, m), dtype=bool)
-    in_block[candidate] = rng.random(candidate.sum()) < np.broadcast_to(b / bmax, (T, m))[candidate]
     alive = np.zeros((T, m), dtype=bool)
-    alive[in_block] = rng.integers(0, 2, in_block.sum(), dtype=bool)
+    alive[candidate] = rng.random(candidate.sum()) < np.broadcast_to(b / bmax, (T, m))[candidate]
     rows = np.flatnonzero(alive.sum(axis=1) == 1)
     winner = np.argmax(alive[rows], axis=1)
-    secondary = (rng.random(rows.size) < b[winner]) & rng.integers(0, 2, rows.size, dtype=bool)
+    secondary = rng.random(rows.size) < 0.5 * b[winner]
     rows, winner = rows[~secondary], winner[~secondary]
     u = np.minimum(lo[winner] + rng.random(rows.size) * b[winner], np.nextafter(hi[winner], 0.0))
-    declared = np.zeros(T, dtype=bool)
-    declared[rows] = True
-    symbols = np.full(T, -1, dtype=np.int64)
-    symbols[rows] = winner * s + _messages(cdf, s, u, winner) - 1
-    return declared, symbols
+    return rows, winner * s + _messages(cdf, s, u, winner) - 1
 
 
 def _every_player_batches(probs, s, T, rng):
@@ -202,10 +222,11 @@ def _every_player_batches(probs, s, T, rng):
 
 def _assert_batches_match_reference(probs, ell, seed, T=300):
     q = split_duplicate(Pmf(k=len(probs), probs=np.asarray(probs, dtype=float)))
-    s = 2**ell - 1
-    declared, symbols = _run_batches(q.probs, s, T, np.random.default_rng(seed))
-    ref_declared, ref_symbols = _full_search_batches(q.probs, s, T, np.random.default_rng(seed))
-    assert np.array_equal(declared, ref_declared)
+    s = block_size(len(probs), ell)
+    cdf, lo, hi = _block_bounds(q.probs, s)
+    rows, symbols = _run_batches(cdf, lo, hi, T, np.random.default_rng(seed))
+    ref_rows, ref_symbols = _full_search_batches(cdf, s, T, np.random.default_rng(seed))
+    assert np.array_equal(rows, ref_rows)
     assert np.array_equal(symbols, ref_symbols)
 
 
@@ -222,7 +243,7 @@ ONE_BLOCK = [0.2, 0.3, 0.5]  # at ell = 3 one block of mass 1: every grid cell i
 
 
 class TestBatchOracle:
-    """_run_batches keeps the in-block primaries as sorted grid positions; the reference lays
+    """_run_batches keeps the surviving primaries as sorted grid positions; the reference lays
     the same draws on a dense grid and resolves the winner's message by full CDF search."""
 
     @pytest.mark.parametrize("probs, ell", FIXED_CELLS)
@@ -250,7 +271,8 @@ class TestBatchOracle:
     def test_simulate_many_outcomes(self, k, ell, monkeypatch):
         p = Pmf(k=k, probs=np.random.default_rng(k).dirichlet(np.ones(k)))
         fast = simulate_many(p, ell, 200, np.random.default_rng(ell))
-        monkeypatch.setattr(simulate, "_run_batches", _full_search_batches)
+        s = block_size(k, ell)
+        monkeypatch.setattr(simulate, "_run_batches", lambda cdf, lo, hi, T, rng: _full_search_batches(cdf, s, T, rng))
         assert simulate_many(p, ell, 200, np.random.default_rng(ell)) == fast
 
 
@@ -296,13 +318,14 @@ class TestDrawLayoutLaw:
     )
     def test_same_law_as_every_player(self, probs, ell):
         q = split_duplicate(Pmf(k=len(probs), probs=np.asarray(probs, dtype=float)))
-        s = 2**ell - 1
-        runs = [f(q.probs, s, self.T, np.random.default_rng(seed))
-                for f, seed in ((_run_batches, 11), (_every_player_batches, 12))]
-        rates = [declared.mean() for declared, _ in runs]
+        s = block_size(len(probs), ell)
+        declared, every = _every_player_batches(q.probs, s, self.T, np.random.default_rng(12))
+        runs = [_run_batches(*_block_bounds(q.probs, s), self.T, np.random.default_rng(11)),
+                (np.flatnonzero(declared), every[declared])]
+        rates = [rows.size / self.T for rows, _ in runs]
         pooled = sum(rates) / 2
         assert abs(rates[0] - rates[1]) <= 4 * math.sqrt(pooled * (1 - pooled) * 2 / self.T)
-        counts = np.array([np.bincount(symbols[declared], minlength=q.k) for declared, symbols in runs])
+        counts = np.array([np.bincount(symbols, minlength=q.k) for _, symbols in runs])
         counts = counts[:, counts.sum(axis=0) > 0]
         expected = np.outer(counts.sum(axis=1), counts.sum(axis=0)) / counts.sum()
         assert _chi2_p(counts, expected) >= 1e-4
@@ -373,8 +396,10 @@ class TestSimulateMany:
         q_k = 12
         batch_players = 2 * len(contiguous_blocks(q_k, 3))
         for o in outs:
+            assert type(o) is SimOutcome and o._fields == ("symbol", "players_used", "batches_used")
             assert o.players_used == o.batches_used * batch_players
             assert o.batches_used >= 1
+            assert o == SimOutcome(symbol=o.symbol, players_used=o.players_used, batches_used=o.batches_used)
 
     def test_mean_players_under_bound(self):
         p = uniform(16)
@@ -390,17 +415,18 @@ class TestSimulateMany:
         monkeypatch.setattr(simulate, "_MAX_DRAW", 64)
         chunks = []
 
-        def recorded(*args):
-            chunks.append(_run_batches(*args))
-            return chunks[-1]
+        def recorded(cdf, lo, hi, T, rng):
+            rows, symbols = _run_batches(cdf, lo, hi, T, rng)
+            chunks.append((T, rows, symbols))
+            return rows, symbols
 
         monkeypatch.setattr(simulate, "_run_batches", recorded)
         outs = simulate_many(uniform(16), 2, 300, np.random.default_rng(8))
-        declared = np.concatenate([d for d, _ in chunks])
-        at = np.flatnonzero(declared)[:300]
-        assert len(chunks) > 20 and declared.size - 1 - at[-1] < chunks[-1][0].size
+        starts = np.cumsum([0] + [T for T, _, _ in chunks])
+        at = np.concatenate([start + rows for start, (_, rows, _) in zip(starts, chunks)])[:300]
+        assert len(chunks) > 20 and starts[-1] - 1 - at[-1] < chunks[-1][0]
         assert [o.batches_used for o in outs] == np.diff(at, prepend=-1).tolist()
-        assert [o.symbol for o in outs] == (np.concatenate([s for _, s in chunks])[at] // 2).tolist()
+        assert [o.symbol for o in outs] == (np.concatenate([s for _, _, s in chunks])[:300] // 2).tolist()
         cap = max(o.players_used for o in outs)
         assert simulate_many(uniform(16), 2, 300, np.random.default_rng(8), player_cap=cap) == outs
         with pytest.raises(PlayerCapExceeded):
