@@ -1,6 +1,7 @@
 """Command-line front door.
 
-Exit codes: 0 success, 2 a verification/assertion failed, 3 config error.
+Exit codes: 0 success, 1 stdout was closed before the output was written,
+2 a verification/assertion failed, 3 config error.
 """
 
 from __future__ import annotations
@@ -8,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 import numpy as np
@@ -18,6 +20,7 @@ from .simulate import contiguous_blocks, rho, simulate_many
 from .smp import TrialStreams, trial_seed_seq
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_VERIFY_FAIL = 2
 EXIT_CONFIG = 3
 
@@ -433,7 +436,14 @@ def main(argv=None) -> int:
     try:
         if args.seed is not None and args.seed < 0:  # every subcommand takes --seed
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, inside the handler
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (`smpinfer ... | head`).  Point stdout at
+        # devnull so that the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (KeyError, FileNotFoundError, ValueError) as exc:  # ValueError covers json.JSONDecodeError
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

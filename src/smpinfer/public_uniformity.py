@@ -15,9 +15,13 @@ Two optimal protocols plus a warmup:
   element against 1/k.
 
 Each public-coin draw is the batch's message map, and the referee reads only
-the message counts that `smp.play` draws under it.  Warmup's maps are one-bit
-indicators of its public elements, so it draws its one-counts straight from p
-with `smp.play_indicators`, the same draws `play` makes under those maps.
+message counts.  Levin draws each mini-batch's counts with `smp.play`.  Smooth
+reads one (m, L) count matrix per trial: row b flattens p on batch b's
+partition, one multinomial with 2-D pvals draws every row (numpy draws the rows
+as m separate calls would), and `testers.l2_statistics` tests every row in one
+call.  Warmup's maps are one-bit indicators of its public elements, so it
+draws its one-counts straight from p with `smp.play_indicators`, the same
+draws `play` makes under those maps.
 
 Mini-batch thresholds carry a noise floor max(theory margin, z * null sigma) so
 that calibrated (below worst-case size) stages never become null-unsafe; at the
@@ -33,7 +37,7 @@ import numpy as np
 
 from .dist import Pmf, flatten, uniform
 from .smp import PublicCoins, Verdict, play, play_indicators
-from .testers import C_L2_DEFAULT, L2TestParams, collision_statistic, l2_uniformity_test
+from .testers import C_L2_DEFAULT, L2TestParams, collision_statistic, l2_statistics
 
 __all__ = [
     "SmoothSchedule",
@@ -90,16 +94,19 @@ def smooth_protocol(
         raise ValueError(f"need at least {sched.total_players} players, got {n}")
     N = n // sched.m
     params = L2TestParams(L=sched.L, gamma=sched.gamma, delta=sched.delta, c_l2=c_l2)
-    rejections = 0
+    # Row b is p flattened on batch b's partition, normalised as flatten does.
+    flat = np.empty((sched.m, sched.L))
     null = None
-    for _ in range(sched.m):
+    for b in range(sched.m):
         part = coins.balanced_partition(p.k, sched.L)
+        flat[b] = np.bincount(part.assign, weights=p.probs, minlength=sched.L)
         if null is None and p.k % sched.L:
             # Every balanced partition gives part r the same number of masses 1/k
             # (the first k mod L parts one more), so its flattened null is the same bytes.
-            null = flatten(uniform(p.k), part)
-        if l2_uniformity_test(play(p, part, N, rng), params, null=null) == "reject":
-            rejections += 1
+            null = flatten(uniform(p.k), part).probs
+    flat /= flat.sum(axis=1, keepdims=True)
+    # One multinomial with a row per batch draws what m calls with one row each draw.
+    rejections = int(np.count_nonzero(l2_statistics(rng.multinomial(N, flat), params, null) > params.threshold))
     decision = "accept_uniform" if rejections == 0 else "reject"
     return Verdict(
         decision=decision,

@@ -9,10 +9,11 @@ A message map is a `dist.Partition`: a deterministic ell-bit map is
 Partition(k, 2**ell, assign), a player holding x sends assign[x], and parts
 may be empty.  Every referee statistic is a symmetric function of the
 messages, so referees read message counts: a public-coin draw returns its
-message map, and `play` draws the message counts of n players under it.  A
-one-bit indicator map's counts are one binomial draw, so `play_indicators`
-draws the one-counts of several indicator maps straight from p, with the very
-draws `play` makes under each map.
+message map, and `play` draws the message counts of n players under it (the
+Levin tester's path; the smooth tester flattens p on all its partitions and
+draws their counts as one matrix).  A one-bit indicator map's counts are one
+binomial draw, so `play_indicators` draws the one-counts of several indicator
+maps straight from p, with the very draws `play` makes under each map.
 
 Randomness discipline: everything derives from a master seed.  A trial is one
 protocol run, and `TrialStreams(master seed, cell, trial)` holds the three
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -80,11 +81,8 @@ class PublicCoins:
         if not 1 <= L <= k:
             raise ValueError("need 1 <= L <= k")
         perm = self._rng.permutation(k)
-        # Part r takes the next sizes[r] symbols of perm; the first k mod L parts get one extra.
-        sizes = np.full(L, k // L, dtype=np.int64)
-        sizes[: k % L] += 1
         assign = np.empty(k, dtype=np.int64)
-        assign[perm] = np.repeat(np.arange(L), sizes)
+        assign[perm] = _part_labels(k, L)
         self.bits_used += k * _draw_bits(L)
         return Partition._trusted(k, L, assign)
 
@@ -114,6 +112,17 @@ class PublicCoins:
         xs = self._rng.integers(k, size=m)
         self.bits_used += m * _draw_bits(k)
         return xs
+
+
+@lru_cache(maxsize=64)
+def _part_labels(k: int, L: int) -> np.ndarray:
+    """The part of each position of a balanced partition's permutation: part r
+    takes the next k // L positions, and the first k mod L parts one more."""
+    sizes = np.full(L, k // L, dtype=np.int64)
+    sizes[: k % L] += 1
+    labels = np.repeat(np.arange(L), sizes)
+    labels.setflags(write=False)
+    return labels
 
 
 def indicator(k: int, x: int) -> Partition:

@@ -17,6 +17,7 @@ from .dist import Pmf
 __all__ = [
     "L2TestParams",
     "collision_statistic",
+    "l2_statistics",
     "l2_uniformity_test",
     "learn_empirical",
     "centralized_uniformity_test",
@@ -45,6 +46,11 @@ class L2TestParams:
             raise ValueError("delta must lie in (0,1)")
 
     @property
+    def threshold(self) -> float:
+        """The largest l2 statistic the test accepts: gamma^2 / (2L)."""
+        return self.gamma**2 / (2.0 * self.L)
+
+    @property
     def n_req(self) -> int:
         return math.ceil(self.c_l2 * math.sqrt(self.L) / self.gamma**2 * math.log(1.0 / self.delta))
 
@@ -55,19 +61,32 @@ def collision_statistic(counts) -> tuple[int, int]:
     return int(np.sum(counts * (counts - 1) // 2)), n * (n - 1) // 2
 
 
-def l2_uniformity_test(counts, params: L2TestParams, null: Pmf | None = None) -> str:
-    """Accept iff T/pairs - 2<null, counts>/n + ||null||^2, an unbiased estimate of
-    ||q - null||_2^2 for the sampled q on [L], is at most gamma^2/(2L); null defaults
-    to u_L, where this is T/pairs <= (1 + gamma^2/2)/L.  Against a non-uniform null the
-    cross term cancels the collision rate's first-order variance."""
+def l2_statistics(counts, params: L2TestParams, null=None) -> np.ndarray:
+    """Per row of a (rows, L) count matrix, the l2 uniformity test's statistic.
+
+    A row of n samples gives T/pairs - 2<null, counts>/n + ||null||^2, an unbiased
+    estimate of ||q - null||_2^2 for the sampled q on [L]; the test accepts iff it
+    is at most params.threshold.  null is a probability vector on [L] and defaults
+    to u_L, where acceptance is T/pairs <= (1 + gamma^2/2)/L.  Against a
+    non-uniform null the cross term cancels the collision rate's first-order
+    variance.  Every row needs at least n_req samples.
+    """
     counts = np.asarray(counts, dtype=np.int64)
-    n = int(counts.sum())
-    if n < params.n_req:
-        raise ValueError(f"need at least n_req={params.n_req} samples, got {n}")
-    T, pairs = collision_statistic(counts)
-    null_p = np.full(params.L, 1.0 / params.L) if null is None else null.probs
-    stat = T / pairs - 2.0 * float(null_p @ counts) / n + float(null_p @ null_p)
-    return "accept" if stat <= params.gamma**2 / (2.0 * params.L) else "reject"
+    n = counts.sum(axis=1)
+    if n.min() < params.n_req:
+        raise ValueError(f"need at least n_req={params.n_req} samples, got {n.min()}")
+    null_p = np.full(params.L, 1.0 / params.L) if null is None else null
+    T = (counts * (counts - 1) // 2).sum(axis=1)
+    # The collision rate as an exact quotient of integers, then one dot per row
+    # (vecdot runs a row's dot as the 1-D product does; a matrix product may not).
+    rate = np.array([t / (r * (r - 1) // 2) for t, r in zip(T.tolist(), n.tolist())])
+    return rate - 2.0 * np.vecdot(counts, null_p) / n + float(null_p @ null_p)
+
+
+def l2_uniformity_test(counts, params: L2TestParams, null: Pmf | None = None) -> str:
+    """The l2 uniformity test of one count vector against null (default u_L): l2_statistics of one row."""
+    stat = l2_statistics(np.asarray(counts)[None], params, None if null is None else null.probs)[0]
+    return "accept" if stat <= params.threshold else "reject"
 
 
 def learn_empirical(counts) -> Pmf:

@@ -4,11 +4,15 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import smpinfer
 from smpinfer import harness
 from smpinfer.cli import _SUITES, _emit, main
 from smpinfer.dist import PaninskiParam, Pmf, flying_pony, paninski, tv, uniform
@@ -385,6 +389,20 @@ class TestCli:
         assert (tmp_path / "lines").read_bytes() == (tmp_path / "dicts").read_bytes()
         assert main(argv) == 0
         assert capsys.readouterr().out == (tmp_path / "dicts").read_text()
+
+    def test_closed_stdout_exits_1_without_traceback(self):
+        # A reader that stops early (`| head -2`) closes the pipe while simulate
+        # still has far more than a pipe buffer to write.
+        src = os.path.dirname(os.path.dirname(smpinfer.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = ["simulate", "--k", "16", "--ell", "2", "--count", "100000", "--seed", "1", "--format", "csv"]
+        proc = subprocess.Popen([sys.executable, "-m", "smpinfer.cli", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline() == b"index,symbol,players_used,batches_used\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+        assert stderr == b""
 
     def test_test_uniformity_csv(self, capsys):
         rc = main(["test-uniformity", "--k", "8", "--ell", "2", "--eps", "0.4",

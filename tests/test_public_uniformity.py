@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smpinfer import public_uniformity
-from smpinfer.dist import flatten, paninski, PaninskiParam, uniform
+from smpinfer.dist import flatten, paninski, PaninskiParam, Pmf, uniform
 from smpinfer.public_uniformity import (
     LEVIN_C1,
     LEVIN_C2,
@@ -18,7 +18,8 @@ from smpinfer.public_uniformity import (
     smooth_protocol,
     warmup_protocol,
 )
-from smpinfer.smp import public_coins
+from smpinfer.smp import Verdict, play, public_coins
+from smpinfer.testers import C_L2_DEFAULT, L2TestParams, l2_uniformity_test
 from smpinfer.verify import levin_threshold
 
 
@@ -92,25 +93,26 @@ class TestSmoothProtocol:
         # flatten(uniform(k), part) for every batch's partition (None when L | k).
         parts, nulls = [], []
         draw = public_uniformity.PublicCoins.balanced_partition
+        statistics = public_uniformity.l2_statistics
 
         def recorded_partition(coins, *args):
             parts.append(draw(coins, *args))
             return parts[-1]
 
-        def recorded_test(counts, params, null=None):
+        def recorded_statistics(counts, params, null=None):
             nulls.append(null)
-            return "accept"
+            return statistics(counts, params, null)
 
         monkeypatch.setattr(public_uniformity.PublicCoins, "balanced_partition", recorded_partition)
-        monkeypatch.setattr(public_uniformity, "l2_uniformity_test", recorded_test)
+        monkeypatch.setattr(public_uniformity, "l2_statistics", recorded_statistics)
         n = SmoothSchedule.from_params(k, ell, 0.3).total_players
         smooth_protocol(uniform(k), ell, 0.3, n, public_coins(k), np.random.default_rng(0))
-        assert len(parts) == len(nulls) == 12
-        for part, null in zip(parts, nulls):
+        assert len(parts) == 12 and len(nulls) == 1
+        for part in parts:
             if k % part.L == 0:
-                assert null is None
+                assert nulls[0] is None
             else:
-                assert null.probs.tobytes() == flatten(uniform(k), part).probs.tobytes()
+                assert nulls[0].tobytes() == flatten(uniform(k), part).probs.tobytes()
 
     def test_public_bits_accounted(self):
         k, ell, eps = 16, 2, 0.3
@@ -118,6 +120,78 @@ class TestSmoothProtocol:
         coins = public_coins(0)
         smooth_protocol(uniform(k), ell, eps, n, coins, np.random.default_rng(0))
         assert coins.bits_used == 12 * k * 2  # 12 partitions into 4 parts
+
+
+def smooth_per_batch(p, ell, eps, n, coins, rng, c_l2=C_L2_DEFAULT):
+    """smooth_protocol as a loop of whole batches: a public partition, a
+    flattened pmf, the players' counts and an l2 test per batch."""
+    sched = SmoothSchedule.from_params(p.k, ell, eps, c_l2=c_l2)
+    N = n // sched.m
+    params = L2TestParams(L=sched.L, gamma=sched.gamma, delta=sched.delta, c_l2=c_l2)
+    rejections = 0
+    for _ in range(sched.m):
+        part = coins.balanced_partition(p.k, sched.L)
+        null = flatten(uniform(p.k), part) if p.k % sched.L else None
+        rejections += l2_uniformity_test(play(p, part, N, rng), params, null=null) == "reject"
+    return Verdict(
+        decision="accept_uniform" if rejections == 0 else "reject",
+        diagnostics={
+            "batches": sched.m,
+            "players_per_batch": N,
+            "players_used": sched.m * N,
+            "batch_rejections": rejections,
+            "public_bits": coins.bits_used,
+        },
+    )
+
+
+def random_pmf_with_zeros(k, seed):
+    rng = np.random.default_rng(seed)
+    w = rng.random(k) * (rng.random(k) < 0.7)
+    w[rng.integers(k)] += 1.0
+    return Pmf(k=k, probs=w / w.sum())
+
+
+class TestSmoothMatchesPerBatchLoop:
+    """smooth_protocol draws its batches as one count matrix; each trial must
+    equal the per-batch loop in verdict, diagnostics, public bits and the next
+    draw of both streams."""
+
+    @pytest.mark.parametrize(
+        "k, ell, eps",
+        [(64, 2, 0.3), (16, 4, 0.3), (17, 2, 0.3), (5000, 4, 0.2), (4097, 4, 0.3),
+         (100, 3, 0.25), (33, 5, 0.4), (8, 1, 0.5), (3, 2, 0.9)],
+    )
+    def test_trials_match(self, k, ell, eps):
+        total = SmoothSchedule.from_params(k, ell, eps).total_players
+        pmfs = [uniform(k), random_pmf_with_zeros(k, k), random_pmf_with_zeros(k, k + 1)]
+        # At the schedule, and above it by an amount that is not a multiple of 12.
+        for n in (total, total + 12 * 37 + 5):
+            for i, p in enumerate(pmfs):
+                for t in range(4):
+                    seed = 1000 * i + 10 * t + (n > total)
+                    sides = []
+                    for run in (smooth_protocol, smooth_per_batch):
+                        coins, rng = public_coins(seed), np.random.default_rng(seed)
+                        v = run(p, ell, eps, n, coins, rng)
+                        sides.append((v.decision, v.diagnostics, coins.bits_used,
+                                      coins.elements(k, 3).tolist(), rng.random()))
+                    assert sides[0] == sides[1]
+
+    def test_numpy_multinomial_rows_draw_as_sequential_calls(self):
+        # smooth_protocol's byte-identity rests on numpy drawing a 2-D pvals
+        # multinomial row by row, as separate calls on the same generator would.
+        probe = np.random.default_rng(0)
+        for L in (1, 2, 4, 16, 100):
+            for N in (0, 1, 7, 12_345, 10**7):
+                pvals = probe.random((12, L)) * (probe.random((12, L)) < 0.7)
+                pvals[:, 0] += 1e-3
+                pvals /= pvals.sum(axis=1, keepdims=True)
+                one, rows = np.random.default_rng(N + L), np.random.default_rng(N + L)
+                together = one.multinomial(N, pvals)
+                apart = np.stack([rows.multinomial(N, row) for row in pvals])
+                assert np.array_equal(together, apart)
+                assert one.random() == rows.random()
 
 
 class TestWarmup:

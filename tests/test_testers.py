@@ -11,6 +11,7 @@ from smpinfer.testers import (
     centralized_n_req,
     centralized_uniformity_test,
     collision_statistic,
+    l2_statistics,
     l2_uniformity_test,
     learn_empirical,
 )
@@ -64,6 +65,29 @@ class TestL2Test:
         assert l2_uniformity_test(rng.multinomial(n, null.probs), params, null=null) == "accept"
         far = np.array([0.1, 0.45, 0.45])  # ||far - null||^2 = 0.135 >= gamma^2/L
         assert l2_uniformity_test(rng.multinomial(n, far), params, null=null) == "reject"
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 4, 7, 16, 33, 100, 4096])
+    def test_row_statistics_are_the_one_row_formula(self, L):
+        # Row by row, l2_statistics is T/pairs - 2<null, counts>/n + ||null||^2 as a
+        # scalar computation gives it, bit for bit, for the uniform and a skewed null.
+        rng = np.random.default_rng(L)
+        params = L2TestParams(L=L, gamma=0.5, delta=0.05, c_l2=0.01)
+        skewed = rng.random(L) * (rng.random(L) < 0.8) + 1e-3
+        skewed /= skewed.sum()
+        for null in (None, skewed):
+            null_p = np.full(L, 1.0 / L) if null is None else null
+            counts = rng.multinomial(rng.integers(10**3, 10**7, size=12), null_p)
+            expected = []
+            for row in counts:
+                T, pairs = collision_statistic(row)
+                expected.append(T / pairs - 2.0 * float(null_p @ row) / int(row.sum()) + float(null_p @ null_p))
+            assert l2_statistics(counts, params, null).tobytes() == np.array(expected).tobytes()
+
+    def test_row_statistics_check_every_row(self):
+        params = L2TestParams(L=2, gamma=0.5, delta=0.05)
+        counts = np.array([[params.n_req, 0], [params.n_req - 1, 0]])
+        with pytest.raises(ValueError, match=f"got {params.n_req - 1}"):
+            l2_statistics(counts, params)
 
 
 class TestLearner:
